@@ -106,7 +106,8 @@ class ExperimentReport:
             ttrs = [r.simulated_ttr for r in done]
             agg["mean_simulated_ttr"] = statistics.fmean(ttrs)
             agg["p50_simulated_ttr"] = statistics.median(ttrs)
-            agg["p95_simulated_ttr"] = sorted(ttrs)[max(0, int(0.95 * len(ttrs)) - 1)]
+            # nearest rank: the ceil(0.95 n)-th smallest, in exact integer arithmetic
+            agg["p95_simulated_ttr"] = sorted(ttrs)[-(-95 * len(ttrs) // 100) - 1]
             agg["mean_messages"] = statistics.fmean(r.messages for r in done)
             agg["mean_relabels"] = statistics.fmean(r.relabels for r in done)
             if self.with_wallclock:

@@ -1,10 +1,11 @@
 """Distributed push-relabel routing as per-node state machines.
 
 Each node owns its label, excess, per-edge flow ledger and a cache of
-neighbor labels, and reacts to four message kinds: PushRequest, Accept,
-Nak and LabelUpdate.  Handlers touch only the receiving node's state and
-return outbound messages, so any dispatcher that delivers messages to one
-node at a time (single-threaded or sharded) yields the same behavior.
+neighbor labels, and reacts to five message kinds: PushRequest, Accept,
+Nak, LabelUpdate and SinkDistance.  Handlers touch only the receiving
+node's state and return outbound messages, so any dispatcher that delivers
+messages to one node at a time (single-threaded or sharded) yields the
+same behavior.
 
 Key rules:
   - a push is applied optimistically at the sender and rolled back exactly
@@ -15,7 +16,11 @@ Key rules:
     relabels while it has any push in flight (so a request always carries
     the sender's current label);
   - label caches only ever increase (stale updates are discarded), fed by
-    Accept/Nak payloads and LabelUpdate broadcasts.
+    Accept/Nak payloads and LabelUpdate and SinkDistance broadcasts;
+  - before any push, a breadth-first SinkDistance wave from r gives every
+    node it reaches its hop distance to r over residual channels (under
+    jittered latency, the length of the path the wave first arrived along),
+    so excess heads toward r instead of flooding from all-zero labels.
 
 Routing an amount val attaches a virtual source feeding s exactly val and a
 virtual sink absorbing at most val from r.  Both are passive: they accept
@@ -94,7 +99,13 @@ class LabelUpdate:
     new_label: int
 
 
-Message = PushRequest | Accept | Nak | LabelUpdate
+@dataclass(slots=True)
+class SinkDistance:
+    sender: NodeId
+    label: int
+
+
+Message = PushRequest | Accept | Nak | LabelUpdate | SinkDistance
 Outbound = tuple[NodeId, Message]
 
 
@@ -119,6 +130,8 @@ class NodeState:
     relabel_count: int = 0
     next_request: int = 0
     wake_scheduled: bool = False
+    # the SinkDistance wave has reached this node (set at r when it starts)
+    reached: bool = False
     # role in (DUMMY_SOURCE, DUMMY_SINK); cached for the dispatch hot path
     passive: bool = False
 
@@ -314,6 +327,31 @@ def on_label_update(v: NodeState, m: LabelUpdate) -> None:
         raise UnknownNeighbor(f"node {v.id} got a label update from non-neighbor {m.sender}")
     if m.new_label > current:
         cache[m.sender] = m.new_label
+
+
+def on_sink_distance(v: NodeState, m: SinkDistance) -> Sequence[Outbound]:
+    """Feed the label cache; adopt and forward the first wave over a residual edge.
+
+    The first SinkDistance from a neighbor we have residual capacity toward
+    makes us one hop further from r than it.  Labels never decrease, so a
+    node that already relabeled above that keeps its label.  We forward the
+    hop distance, which never exceeds our label, to every channel neighbor.
+    """
+    w = m.sender
+    cache = v.neighbor_labels
+    current = cache.get(w)
+    if current is None:
+        raise UnknownNeighbor(f"node {v.id} got a sink distance from non-neighbor {w}")
+    if m.label > current:
+        cache[w] = m.label
+    if v.reached or v.cap[w] - v.edge_flow[w] <= 0:
+        return ()
+    v.reached = True
+    hops = m.label + 1
+    if hops > v.label:
+        v.label = hops
+    wave = SinkDistance(v.id, hops)
+    return [(u, wave) for u in v.channel_neighbors]
 
 
 def check_node_invariants(v: NodeState, n: int) -> None:

@@ -39,6 +39,10 @@ class InconsistentFlow(Exception):
     """Reported facts contradict flow conservation; some relay lied."""
 
 
+class FactOverflow(ValueError):
+    """A flow amount or node id does not fit the 64-bit fields of a fact."""
+
+
 KEY_LEN = 32
 NONCE_LEN = 16
 BLOCK_LEN = 256
@@ -46,6 +50,7 @@ TAG_LAYER = 0x01
 UNIT_LEN = 1 + NONCE_LEN + BLOCK_LEN
 _PLAINTEXT_LEN = BLOCK_LEN - 16
 _FACT = struct.Struct(">QQ32s")
+_FACT_LIMIT = 1 << 64
 
 
 class AeadCipher:
@@ -205,13 +210,17 @@ def run_report(
     Every inbound packet at a relay is forwarded onward and every
     predecessor edge is reported at least once, so the source ends up with
     every flow fact; chains sharing a suffix produce duplicates that the
-    source discards.
+    source discards.  An amount or node id of 2**64 or more raises
+    FactOverflow before anything is sealed.
     """
     acyclic = cancel_cycles(flow)
     source, sink = flow.source, flow.sink
+    pos = acyclic.positive_edges()
+    for (u, v), a in pos.items():
+        if max(u, v, a) >= _FACT_LIMIT:
+            raise FactOverflow(f"flow {a} on edge ({u}, {v}) does not fit a 64-bit report fact")
     if k_sink is None:
         k_sink = _rand_bytes(rng, KEY_LEN)
-    pos = acyclic.positive_edges()
     edge_keys = {edge: _rand_bytes(rng, KEY_LEN) for edge in sorted(pos)}
     pos_in: dict[NodeId, list[tuple[NodeId, Funds]]] = {}
     pos_out: dict[NodeId, list[NodeId]] = {}

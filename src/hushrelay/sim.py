@@ -3,9 +3,12 @@
 Events are delivered in (time, insertion-sequence) order, so identical
 inputs and configuration replay bit-identically.  Message latency comes
 from a seeded latency model; node activations are local continuations and
-run at the current timestamp.  The dispatcher is single-threaded; handlers
-only touch the addressed node, so a sharded dispatcher preserving per-node
-serial execution and per-edge FIFO delivery would observe the same outcomes.
+run at the current timestamp.  Each run starts with the sink's
+SinkDistance wave; the source holds its excess until the wave reaches it,
+or until the network goes quiet if no residual path to the sink exists.
+The dispatcher is single-threaded; handlers only touch the addressed node,
+so a sharded dispatcher preserving per-node serial execution and per-edge
+FIFO delivery would observe the same outcomes.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .protocol import (
     Nak,
     PushRequest,
     RoutingOutcome,
+    SinkDistance,
 )
 
 
@@ -92,6 +96,7 @@ _EVENT_NAMES = {
     Accept: "accept",
     Nak: "nak",
     LabelUpdate: "label_update",
+    SinkDistance: "sink_distance",
 }
 
 
@@ -133,16 +138,15 @@ class Simulator:
             if self.cfg.max_events is not None
             else 50 * (g.n + 2) ** 2 * (g.channel_count + 2)
         )
-        self._wake(s)
-
-    # -- scheduling ------------------------------------------------------
-
-    def _wake(self, v: NodeId) -> None:
-        st = self.states[v]
-        if st.wake_scheduled:
-            return
-        st.wake_scheduled = True
-        self._wakes.append(v)
+        # s starts pushing once the wave from r reaches it (see _dispatch)
+        self._source_held = True
+        sink = self.states[r]
+        sink.reached = True
+        wave = SinkDistance(r, sink.label)
+        for w in sink.channel_neighbors:
+            self._seq += 1
+            heappush(self._queue, (latency.sample(self._rng), self._seq, w, r, wave))
+        self.messages_sent = len(sink.channel_neighbors)
 
     # -- dispatch --------------------------------------------------------
 
@@ -169,6 +173,9 @@ class Simulator:
         on_push_request = protocol.on_push_request
         on_label_update = protocol.on_label_update
         on_reply = protocol.on_reply
+        on_sink_distance = protocol.on_sink_distance
+        source = self.source
+        held = self._source_held
         done = 0
         sent = 0
         delivered = 0
@@ -201,12 +208,28 @@ class Simulator:
                 elif kind is LabelUpdate:
                     on_label_update(st, msg)
                     out = ()
+                elif kind is SinkDistance:
+                    out = on_sink_distance(st, msg)
+                    if to == source and out:
+                        held = False
                 else:
                     on_reply(st, msg)
                     out = ()
-                if st.excess > 0 and not st.passive and not st.wake_scheduled:
+                if (
+                    st.excess > 0
+                    and not st.passive
+                    and not st.wake_scheduled
+                    and not (held and to == source)
+                ):
                     st.wake_scheduled = True
                     wakes.append(to)
+            elif held:
+                # the network went quiet before the wave reached s: there is
+                # no residual path to r, so s drains its excess back
+                held = False
+                states[source].wake_scheduled = True
+                wakes.append(source)
+                continue
             else:
                 break
             for dest, m in out:
@@ -216,6 +239,7 @@ class Simulator:
                 sent += 1
             if check:
                 protocol.check_node_invariants(st, n)
+        self._source_held = held
         self.now = now
         self.simulated_time = last_delivery
         self._seq = seq
@@ -261,7 +285,7 @@ class Simulator:
     def run(self) -> RoutingOutcome:
         """Dispatch events until quiescence; raise EventBudgetExhausted on a hang."""
         self._dispatch(self.max_events + 1 - self.events_dispatched)
-        if self._queue or self._wakes:
+        if self._queue or self._wakes or self._source_held:
             raise EventBudgetExhausted(self)
         if not self.quiescent():
             raise protocol.NotTerminated("queue drained but instance is not quiescent")

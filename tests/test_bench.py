@@ -1,6 +1,9 @@
 import io
+import random
 
-from hushrelay.bench import CSV_COLUMNS, run_bench, run_txn, txn_seed
+import pytest
+
+from hushrelay.bench import CSV_COLUMNS, ExperimentReport, TxnResult, run_bench, run_txn, txn_seed
 from hushrelay.oracle import is_feasible
 from hushrelay.sim import LatencyModel
 from hushrelay.topology import BAConfig, Transaction, WorkloadConfig, generate_ba, generate_workload
@@ -90,3 +93,13 @@ class TestRunBench:
         doc = json.loads(report.to_json())
         assert doc["columns"] == CSV_COLUMNS
         assert doc["aggregate"]["txn_count"] == 5
+
+
+class TestAggregate:
+    @pytest.mark.parametrize("n, rank", [(1, 1), (20, 19), (30, 29), (100, 95), (101, 96)])
+    def test_p95_is_nearest_rank(self, n, rank):
+        ttrs = list(range(1, n + 1))
+        random.Random(n).shuffle(ttrs)
+        rows = [TxnResult(i, 0, 1, 5, True, 5, True, t, 0.0, 1, 0) for i, t in enumerate(ttrs)]
+        # the rank-th smallest of 1..n is rank itself; ceil(0.95 * 30) = 29
+        assert ExperimentReport(rows).aggregate["p95_simulated_ttr"] == rank

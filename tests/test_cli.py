@@ -1,6 +1,7 @@
 import pytest
 
 from hushrelay.cli import main
+from hushrelay.graph import ChannelGraph
 from hushrelay.netfile import save_network
 
 from .conftest import five_node_graph
@@ -75,6 +76,19 @@ class TestRoute:
         ])
         assert code == 0
         assert "reconstruction ok" in capsys.readouterr().out
+
+    def test_report_value_beyond_u64_is_usage_error(self, tmp_path, capsys):
+        g = ChannelGraph(3)
+        g.open_channel(0, 1, 2**65, 0)
+        g.open_channel(1, 2, 2**65, 0)
+        net = tmp_path / "huge.pcn"
+        save_network(g, net)
+        code = main([
+            "route", "--network", str(net), "--source", "0", "--sink", "2",
+            "--amount", str(2**64), "--report-demo",
+        ])
+        assert code == 2
+        assert "usage error" in capsys.readouterr().err
 
     def test_env_seed_fallback(self, example_file, monkeypatch, capsys):
         monkeypatch.setenv("HUSHRELAY_SEED", "9")

@@ -9,6 +9,7 @@ from hushrelay.protocol import (
     PushRequest,
     Role,
     SameSourceSink,
+    SinkDistance,
     UnknownNeighbor,
     UnknownRequestId,
     ZeroValue,
@@ -17,6 +18,7 @@ from hushrelay.protocol import (
     on_label_update,
     on_push_request,
     on_reply,
+    on_sink_distance,
 )
 from hushrelay.sim import SimConfig, Simulator, run
 
@@ -233,6 +235,57 @@ class TestOnLabelUpdate:
         states = init_instance(example_graph, S, R, 15)
         with pytest.raises(UnknownNeighbor):
             on_label_update(states[A], LabelUpdate(B, 1))
+
+
+class TestOnSinkDistance:
+    def test_first_wave_over_residual_edge_adopted_and_forwarded(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        out = on_sink_distance(states[C], SinkDistance(R, 0))
+        assert states[C].label == 1
+        assert [(dest, m.sender, m.label) for dest, m in out] == [
+            (A, C, 1),
+            (B, C, 1),
+            (R, C, 1),
+        ]
+
+    def test_adopted_only_once(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        st = states[C]
+        on_sink_distance(st, SinkDistance(R, 0))
+        assert not on_sink_distance(st, SinkDistance(R, 4))
+        assert st.label == 1
+        assert st.neighbor_labels[R] == 4  # the cache still learns
+
+    def test_never_adopted_across_zero_capacity(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        st = states[A]  # channel S-A has no capacity from A toward S
+        assert not on_sink_distance(st, SinkDistance(S, 3))
+        assert st.label == 0 and not st.reached
+        assert st.neighbor_labels[S] == 3
+        # a later wave over the residual edge A->C is still adopted
+        assert on_sink_distance(st, SinkDistance(C, 1))
+        assert st.label == 2
+
+    def test_never_lowers_a_cached_label(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        st = states[C]
+        st.neighbor_labels[R] = 5
+        on_sink_distance(st, SinkDistance(R, 0))
+        assert st.neighbor_labels[R] == 5
+        assert st.label == 1
+
+    def test_never_lowers_own_label(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        st = states[C]
+        st.label = 4  # relabeled before the wave arrived
+        out = on_sink_distance(st, SinkDistance(R, 0))
+        assert st.label == 4
+        assert {m.label for _, m in out} == {1}  # the hop distance, not the label
+
+    def test_non_neighbor_rejected(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        with pytest.raises(UnknownNeighbor):
+            on_sink_distance(states[A], SinkDistance(B, 1))
 
 
 class TestExtractOutcome:

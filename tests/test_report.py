@@ -7,6 +7,7 @@ from hushrelay.report import (
     UNIT_LEN,
     AeadCipher,
     AuthFailure,
+    FactOverflow,
     InconsistentFlow,
     NullCipher,
     ReportPacket,
@@ -42,6 +43,27 @@ class TestBuildReport:
         rr = run_report(f, rng=Random(1))
         assert rr.source_packets == []
         assert rr.depth == 0
+
+    @pytest.mark.parametrize(
+        "edge, amount",
+        [((0, 1), 2**64), ((2**64, 1), 5), ((0, 2**64), 5)],
+    )
+    def test_values_beyond_u64_rejected_before_sealing(self, edge, amount):
+        class NoSealing:
+            def encrypt(self, key, nonce, plaintext):
+                raise AssertionError("sealed a fact that does not fit")
+
+        f = FlowAssignment(*edge)
+        f.add(*edge, amount)
+        with pytest.raises(FactOverflow):
+            run_report(f, rng=Random(1), cipher=NoSealing())
+
+    def test_largest_u64_amount_round_trips(self):
+        f = FlowAssignment(0, 1)
+        f.add(0, 1, 2**64 - 1)
+        rr = run_report(f, rng=Random(1))
+        rec = reconstruct(0, 1, rr.source_packets, rr.k_sink, rr.filler_set)
+        assert rec.flow == f
 
     def test_wrong_key_fails_authentication(self, example_graph):
         out = worked_outcome(example_graph)

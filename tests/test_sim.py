@@ -1,4 +1,5 @@
 import io
+from collections import deque
 
 import pytest
 
@@ -11,6 +12,7 @@ from hushrelay.sim import (
     quiescent,
     run,
 )
+from hushrelay.topology import BAConfig, generate_ba
 
 from .conftest import R, S
 
@@ -90,7 +92,12 @@ class TestRun:
 
     def test_simulated_time_is_last_delivery(self, example_graph):
         out = run(example_graph, S, R, 15, SimConfig(seed=0))
-        assert out.simulated_time == 5  # hand-checked constant-latency schedule
+        # hand-checked constant-latency schedule: the sink-distance wave
+        # reaches C at t=1, A and B at t=2 and S at t=3, where S pushes 10/5
+        # to A/B (t=4); A and B push to C (t=5), C pushes 15 to R (t=6); R
+        # accepts at label 0, relabels to 1 and pushes to the virtual sink
+        # (t=7), whose Accept arrives at t=8
+        assert out.simulated_time == 8
 
 
 class TestQuiescent:
@@ -140,3 +147,78 @@ class TestDeterminism:
             for s in range(20)
         }
         assert delivered == {20}
+
+
+def sink_hops(g: ChannelGraph, r: int) -> dict[int, int]:
+    """Hop distance to r over channel directions with positive capacity toward r."""
+    hops = {r: 0}
+    frontier = deque([r])
+    while frontier:
+        w = frontier.popleft()
+        for v in g.neighbors(w):
+            if v not in hops and g.capacity(v, w) > 0:
+                hops[v] = hops[w] + 1
+                frontier.append(v)
+    return hops
+
+
+class TestSinkDistanceWave:
+    @pytest.mark.parametrize("pick", range(6))
+    def test_unrelabeled_labels_are_hop_distances(self, pick):
+        # zero-capacity directions make the residual distances differ from
+        # plain graph distances, and leave some nodes unable to reach r
+        g = generate_ba(BAConfig(n=150, m_attach=2, cap_range=(0, 3), seed=pick))
+        s, r = 3 * pick + 1, 7 * pick + 2
+        sim = Simulator(g, s, r, 2, SimConfig(seed=pick))
+        sim.run()
+        hops = sink_hops(g, r)
+        unrelabeled = [v for v in range(g.n) if sim.states[v].relabel_count == 0]
+        assert len(unrelabeled) > g.n // 2
+        assert any(v not in hops for v in unrelabeled)
+        for v in unrelabeled:
+            assert sim.states[v].label == hops.get(v, 0), v
+
+    def test_one_trace_line_per_forwarding_edge(self, example_graph):
+        buf = io.StringIO()
+        sim = Simulator(example_graph, S, R, 15, SimConfig(seed=0), trace=buf)
+        out = sim.run()
+        lines = [line.split() for line in buf.getvalue().splitlines()]
+        wave = [(int(f[2]), int(f[3])) for f in lines if f[1] == "sink_distance"]
+        # every node reaches r, and each forwards once to every channel neighbor
+        forwarding = {(v, w) for v in range(5) for w in example_graph.neighbors(v)}
+        assert len(wave) == len(forwarding) == 10
+        assert set(wave) == forwarding
+        assert out.messages_sent == len(lines)
+
+    def test_source_waits_for_the_wave(self):
+        # S hears the wave first from X, over a channel with no capacity from
+        # S toward X, and only later over its residual path S-A-B-R
+        s, x, a, b, r = range(5)
+        g = ChannelGraph(5)
+        g.open_channel(r, x, 10, 10)
+        g.open_channel(s, x, 0, 10)
+        g.open_channel(s, a, 10, 10)
+        g.open_channel(a, b, 10, 10)
+        g.open_channel(b, r, 10, 10)
+        sim = Simulator(g, s, r, 5, SimConfig(seed=0))
+        src = sim.states[s]
+        heard_early = False
+        while not src.reached:
+            assert src.next_request == 0 and src.relabel_count == 0
+            heard_early |= src.neighbor_labels[x] > 0
+            assert sim.step()
+        assert heard_early
+        assert src.label == 3
+        assert sim.run().delivered == 5
+
+    def test_unreached_source_drains_back_under_run_and_step(self, example_graph):
+        # every channel has zero capacity toward S, so no wave reaches R; R is
+        # woken once the network goes quiet, by run() and step() alike
+        out = run(example_graph, R, S, 15, SimConfig(seed=0))
+        assert out.delivered == 0
+        assert out.returned == 15
+        stepped = Simulator(example_graph, R, S, 15, SimConfig(seed=0))
+        while stepped.step():
+            pass
+        assert stepped.quiescent()
+        assert stepped.outcome() == out
