@@ -7,14 +7,7 @@ sink-to-source flow reporting and scale-free benchmark tooling.
 
 __version__ = "0.1.0"
 
-from .graph import (
-    Channel,
-    ChannelGraph,
-    FlowAssignment,
-    ResidualView,
-    apply_flow,
-    residual,
-)
+from .graph import Channel, ChannelGraph, FlowAssignment, apply_flow
 from .oracle import OracleResult, feasible_flow_sequential, is_feasible, maxflow_augmenting
 from .protocol import NodeState, RoutingOutcome, init_instance
 from .sim import LatencyModel, SimConfig, Simulator, run
@@ -33,9 +26,7 @@ __all__ = [
     "Channel",
     "ChannelGraph",
     "FlowAssignment",
-    "ResidualView",
     "apply_flow",
-    "residual",
     "OracleResult",
     "feasible_flow_sequential",
     "is_feasible",

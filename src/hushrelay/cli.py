@@ -18,7 +18,7 @@ from . import __version__
 from .bench import ExperimentReport, run_bench
 from .decompose import decompose
 from .graph import PcnError
-from .netfile import ParseError, load_network, save_network
+from .netfile import ParseError, load_network, load_workload, save_network
 from .protocol import SameSourceSink, ZeroValue
 from .report import reconstruct, run_report
 from .sim import EventBudgetExhausted, LatencyModel, SimConfig, Simulator
@@ -28,7 +28,6 @@ from .topology import (
     WorkloadConfig,
     generate_ba,
     generate_workload,
-    load_workload,
 )
 
 EXIT_OK = 0
@@ -142,7 +141,7 @@ def _bench_graph(args, seed: int):
 
 def _bench_workload(args, g, seed: int):
     if args.workload:
-        return load_workload(args.workload)
+        return load_workload(args.workload, g.n)
     return generate_workload(
         g,
         WorkloadConfig(

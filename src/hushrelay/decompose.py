@@ -1,11 +1,13 @@
 """Splitting an edge flow into path-level payments.
 
-Cycles (which carry no payment) are canceled first, then source->sink paths
-are extracted widest-first: each round takes the maximum-bottleneck path,
-breaking ties toward the lexicographically smallest node sequence, and
-subtracts its bottleneck.  Every round saturates at least one edge, so a
-flow over m edges splits into at most m paths whose values sum to the
-delivered amount.
+Cycles carry no payment.  `cancel_cycles` removes them once, when
+`protocol.extract_outcome` assembles a routing outcome; every later stage
+takes that acyclic flow as given.  `decompose` extracts source->sink paths
+widest-first: each round takes the maximum-bottleneck path, breaking ties
+toward the lexicographically smallest node sequence, and subtracts its
+bottleneck.  Every round saturates at least one edge, so a flow over m
+edges splits into at most m paths whose values sum to the delivered
+amount.
 """
 
 from __future__ import annotations
@@ -110,10 +112,13 @@ def _widest_path(
 
 
 def decompose(flow: FlowAssignment) -> list[tuple[Path, Funds]]:
-    """Split flow into (path, value) terms; sum of values equals flow.value."""
-    acyclic = cancel_cycles(flow)
-    pos = _positive(acyclic)
-    target = acyclic.value
+    """Split an acyclic flow into (path, value) terms summing to flow.value.
+
+    Raises ValueError if flow edges are left over once the value has been
+    extracted: the flow carried circulation.
+    """
+    pos = _positive(flow)
+    target = flow.value
     paths: list[tuple[Path, Funds]] = []
     extracted = 0
     while extracted < target:
@@ -129,4 +134,7 @@ def decompose(flow: FlowAssignment) -> list[tuple[Path, Funds]]:
                 del pos[v][w]
         paths.append((path, width))
         extracted += width
+    left = sorted((v, w) for v, targets in pos.items() for w in targets)
+    if left:
+        raise ValueError(f"flow is not acyclic: edges {left} left over after the paths")
     return paths

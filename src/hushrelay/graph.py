@@ -73,7 +73,8 @@ class ChannelGraph:
     """Bidirected capacitated graph of accounts and payment channels.
 
     At most one channel per unordered node pair; non-edges answer with
-    capacity 0.  Mutation happens only through open/close/apply operations.
+    capacity 0.  Mutation happens only through open_channel; apply_flow
+    returns a new graph.
     """
 
     def __init__(self, n: int):
@@ -103,9 +104,6 @@ class ChannelGraph:
 
     def neighbors(self, v: NodeId) -> list[NodeId]:
         return sorted(self._adj[v])
-
-    def incident(self, v: NodeId) -> dict[NodeId, Channel]:
-        return self._adj[v]
 
     def capacity(self, v: NodeId, w: NodeId) -> Funds:
         """Directed capacity c(v, w); 0 for non-edges."""
@@ -158,103 +156,71 @@ class ChannelGraph:
         self._adj[v][u] = ch
         return cid
 
-    def close_channel(self, cid: ChannelId) -> tuple[Funds, Funds]:
-        """Remove a channel and return its final balance split (u side, v side)."""
-        ch = self.channel(cid)
-        del self._channels[cid]
-        del self._adj[ch.u][ch.v]
-        del self._adj[ch.v][ch.u]
-        return (ch.cap_forward, ch.cap_backward)
-
 
 class FlowAssignment:
-    """Integer edge flow f(v, w) with enforced antisymmetry.
+    """Integer edge flow f(v, w), stored once per pair as its positive net.
 
-    Stores both orientations of every touched pair; `value` is the net flow
-    into the sink, computed from the stored entries.
+    `get` is antisymmetric: f(w, v) = -f(v, w).  `value` is the net flow
+    into the sink.
     """
 
-    def __init__(self, source: NodeId, sink: NodeId, flow: dict[tuple[NodeId, NodeId], Funds] | None = None):
+    def __init__(self, source: NodeId, sink: NodeId):
         self.source = source
         self.sink = sink
         self._f: dict[tuple[NodeId, NodeId], Funds] = {}
-        if flow:
-            for (v, w), amount in flow.items():
-                self.add(v, w, amount)
 
     def get(self, v: NodeId, w: NodeId) -> Funds:
-        return self._f.get((v, w), 0)
+        return self._f.get((v, w), 0) - self._f.get((w, v), 0)
 
     def add(self, v: NodeId, w: NodeId, amount: Funds) -> None:
         if v == w:
             raise ValueError("flow on a self-loop is meaningless")
-        self._f[(v, w)] = self._f.get((v, w), 0) + amount
-        self._f[(w, v)] = self._f.get((w, v), 0) - amount
-
-    def pairs(self) -> Iterator[tuple[tuple[NodeId, NodeId], Funds]]:
-        return iter(self._f.items())
+        net = self.get(v, w) + amount
+        self._f.pop((v, w), None)
+        self._f.pop((w, v), None)
+        if net > 0:
+            self._f[(v, w)] = net
+        elif net < 0:
+            self._f[(w, v)] = -net
 
     def positive_edges(self) -> dict[tuple[NodeId, NodeId], Funds]:
-        return {(v, w): a for (v, w), a in self._f.items() if a > 0}
-
-    def nodes(self) -> set[NodeId]:
-        seen = {self.source, self.sink}
-        for v, w in self._f:
-            seen.add(v)
-            seen.add(w)
-        return seen
+        return dict(self._f)
 
     @property
     def value(self) -> Funds:
         """Net flow into the sink."""
-        return sum(a for (v, w), a in self._f.items() if w == self.sink)
+        sink = self.sink
+        return sum(a if w == sink else -a for (v, w), a in self._f.items() if sink in (v, w))
 
-    def negate(self) -> "FlowAssignment":
-        out = FlowAssignment(self.source, self.sink)
+    def unbalanced(self) -> dict[NodeId, Funds]:
+        """Net inflow of every node other than source and sink where it is non-zero.
+
+        Empty iff the flow is conserved; one pass over the edges.
+        """
+        net: dict[NodeId, Funds] = {}
         for (v, w), a in self._f.items():
-            out._f[(v, w)] = -a
-        return out
+            net[v] = net.get(v, 0) - a
+            net[w] = net.get(w, 0) + a
+        return {
+            v: a for v, a in sorted(net.items()) if a and v not in (self.source, self.sink)
+        }
 
     def validate(self, g: ChannelGraph) -> None:
-        """Check the three flow constraints against g; raise CapacityViolation otherwise."""
+        """Check capacity and conservation against g; raise CapacityViolation otherwise."""
         for (v, w), a in self._f.items():
-            if self._f.get((w, v), 0) != -a:
-                raise CapacityViolation(f"antisymmetry broken on ({v},{w})")
             if a > g.capacity(v, w):
                 raise CapacityViolation(f"f({v},{w})={a} exceeds c={g.capacity(v, w)}")
-        for v in self.nodes():
-            if v in (self.source, self.sink):
-                continue
-            net = sum(a for (x, y), a in self._f.items() if y == v)
-            if net != 0:
-                raise CapacityViolation(f"conservation broken at {v}: net {net}")
+        bad = self.unbalanced()
+        if bad:
+            raise CapacityViolation(f"conservation broken: net inflow {bad}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlowAssignment):
             return NotImplemented
-        mine = {k: v for k, v in self._f.items() if v != 0}
-        theirs = {k: v for k, v in other._f.items() if v != 0}
-        return (self.source, self.sink) == (other.source, other.sink) and mine == theirs
+        return (self.source, self.sink, self._f) == (other.source, other.sink, other._f)
 
     def __repr__(self) -> str:
-        pos = self.positive_edges()
-        return f"FlowAssignment({self.source}->{self.sink}, value={self.value}, edges={pos})"
-
-
-class ResidualView:
-    """Read-only residual capacities r_f(v, w) = c(v, w) - f(v, w) over a graph and flow."""
-
-    def __init__(self, g: ChannelGraph, f: FlowAssignment):
-        self._g = g
-        self._f = f
-
-    def of(self, v: NodeId, w: NodeId) -> Funds:
-        return self._g.capacity(v, w) - self._f.get(v, w)
-
-
-def residual(g: ChannelGraph, f: FlowAssignment, v: NodeId, w: NodeId) -> Funds:
-    """Residual capacity c(v, w) - f(v, w); non-edges have c = 0."""
-    return g.capacity(v, w) - f.get(v, w)
+        return f"FlowAssignment({self.source}->{self.sink}, value={self.value}, edges={self._f})"
 
 
 def apply_flow(g: ChannelGraph, f: FlowAssignment) -> ChannelGraph:

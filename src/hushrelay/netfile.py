@@ -1,9 +1,10 @@
-"""Line-oriented text format for channel networks.
+"""Line-oriented text formats for channel networks and payment workloads.
 
-A `pcn <n>` header followed by one `chan <u> <v> <cap_uv> <cap_vu>` line per
-channel, integer fields, `#` starts a comment.  Serialization is canonical
-(channels sorted by endpoint pair), so parse -> serialize -> parse is the
-identity.
+A network file is a `pcn <n>` header followed by one
+`chan <u> <v> <cap_uv> <cap_vu>` line per channel.  A workload file holds
+one `txn <s> <r> <val>` line per payment.  Fields are integers and `#`
+starts a comment.  Network serialization is canonical (channels sorted by
+endpoint pair), so parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import os
 
 from .graph import ChannelGraph
+from .topology import Transaction
 
 
 class ParseError(Exception):
@@ -80,3 +82,38 @@ def load_network(path: str | os.PathLike) -> ChannelGraph:
 def save_network(g: ChannelGraph, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_network(g))
+
+
+def loads_workload(text: str, n: int) -> list[Transaction]:
+    """Parse a workload for a network of n nodes; node ids must lie in 0..n-1."""
+    txns: list[Transaction] = []
+    for line_no, line in _content_lines(text):
+        fields = line.split()
+        if fields[0] != "txn" or len(fields) != 4:
+            raise ParseError(line_no, f"expected 'txn <s> <r> <val>', got {line!r}")
+        s = _int_field(line_no, fields[1], "node id")
+        r = _int_field(line_no, fields[2], "node id")
+        val = _int_field(line_no, fields[3], "value")
+        for v in (s, r):
+            if not 0 <= v < n:
+                raise ParseError(line_no, f"node {v} out of range 0..{n - 1}")
+        if s == r:
+            raise ParseError(line_no, f"source and sink must differ, got {s}")
+        if val < 0:
+            raise ParseError(line_no, f"value must be >= 0, got {val}")
+        txns.append(Transaction(s, r, val))
+    return txns
+
+
+def dumps_workload(txns: list[Transaction]) -> str:
+    return "".join(f"txn {t.s} {t.r} {t.val}\n" for t in txns)
+
+
+def load_workload(path: str | os.PathLike, n: int) -> list[Transaction]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return loads_workload(fh.read(), n)
+
+
+def save_workload(txns: list[Transaction], path: str | os.PathLike) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps_workload(txns))

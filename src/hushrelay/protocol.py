@@ -32,7 +32,6 @@ with zero excess.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 from .decompose import cancel_cycles
@@ -61,14 +60,6 @@ class UnknownRequestId(ProtocolError):
 
 class NotTerminated(ProtocolError):
     pass
-
-
-class Role(Enum):
-    NORMAL = "normal"
-    SOURCE = "source"
-    SINK = "sink"
-    DUMMY_SOURCE = "dummy_source"
-    DUMMY_SINK = "dummy_sink"
 
 
 @dataclass(slots=True)
@@ -114,7 +105,6 @@ class NodeState:
     """One protocol participant; mutated only by its owning dispatcher."""
 
     id: NodeId
-    role: Role
     label: int = 0
     excess: Funds = 0
     # local ledger f(v, w) per neighbor, and static directed capacities
@@ -132,11 +122,8 @@ class NodeState:
     wake_scheduled: bool = False
     # the SinkDistance wave has reached this node (set at r when it starts)
     reached: bool = False
-    # role in (DUMMY_SOURCE, DUMMY_SINK); cached for the dispatch hot path
+    # a virtual endpoint: accepts pushes, never originates one
     passive: bool = False
-
-    def residual(self, w: NodeId) -> Funds:
-        return self.cap[w] - self.edge_flow[w]
 
     @property
     def active(self) -> bool:
@@ -176,12 +163,10 @@ def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> dict[Nod
         caps[ch.v][ch.u] = ch.cap_backward
     states: dict[NodeId, NodeState] = {}
     for v in range(g.n):
-        role = Role.SOURCE if v == s else Role.SINK if v == r else Role.NORMAL
         cap = caps[v]
         nbrs = sorted(cap)
         st = NodeState(
             id=v,
-            role=role,
             edge_flow=dict.fromkeys(nbrs, 0),
             cap=cap,
             neighbor_labels=dict.fromkeys(nbrs, 0),
@@ -203,7 +188,6 @@ def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> dict[Nod
 
     states[sp] = NodeState(
         id=sp,
-        role=Role.DUMMY_SOURCE,
         label=g.n + 2,
         edge_flow={s: val},
         cap={s: val},
@@ -212,7 +196,6 @@ def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> dict[Nod
     )
     states[rp] = NodeState(
         id=rp,
-        role=Role.DUMMY_SINK,
         label=0,
         edge_flow={r: 0},
         cap={r: 0},
@@ -267,7 +250,8 @@ def on_activate(v: NodeState) -> Sequence[Outbound]:
         delta = excess if excess < res else res
         flow[w] += delta
         excess -= delta
-        rid = (vid << 32) | v.next_request
+        # ids only need to be unique per sender: replies return to it
+        rid = v.next_request
         v.next_request += 1
         v.pending[rid] = (w, delta)
         busy.add(w)
@@ -382,7 +366,9 @@ def extract_outcome(
     virtual endpoints, and mirrored per-edge ledgers.  The reported flow is
     the netted ledger with circulation removed: excess bouncing between
     nodes can leave zero-payment cycles in the raw ledgers, and the
-    canonical routing result is the acyclic flow those ledgers imply.
+    canonical routing result is the acyclic flow those ledgers imply.  This
+    is the pipeline's one cycle-cancel pass: decomposition and the flow
+    report take the acyclic flow as given and reject circulation.
     """
     if not terminated:
         raise NotTerminated("instance has not reached quiescence")

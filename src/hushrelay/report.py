@@ -18,7 +18,6 @@ therefore byte-length-identical at every relay position.
 
 from __future__ import annotations
 
-import hashlib
 import secrets
 import struct
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from random import Random
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .decompose import Path, cancel_cycles, decompose
+from .decompose import Path, decompose
 from .graph import FlowAssignment, Funds, NodeId
 
 
@@ -66,24 +65,6 @@ class AeadCipher:
             return AESGCM(key).decrypt(nonce, ciphertext, None)
         except InvalidTag as exc:
             raise AuthFailure("layer failed authentication") from exc
-
-
-class NullCipher:
-    """Transparent cipher for debugging: plaintext in the clear, keyed MAC."""
-
-    name = "null"
-
-    def _mac(self, key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
-        return hashlib.sha256(key + nonce + plaintext).digest()[:16]
-
-    def encrypt(self, key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
-        return plaintext + self._mac(key, nonce, plaintext)
-
-    def decrypt(self, key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
-        plaintext, mac = ciphertext[:-16], ciphertext[-16:]
-        if mac != self._mac(key, nonce, plaintext):
-            raise AuthFailure("layer failed authentication")
-        return plaintext
 
 
 DEFAULT_CIPHER = AeadCipher()
@@ -197,53 +178,67 @@ class ReportRun:
     relay_inbound: dict[NodeId, list[ReportPacket]] = field(default_factory=dict)
 
 
-def run_report(
-    flow: FlowAssignment,
-    k_sink: bytes | None = None,
-    rng: Random | None = None,
-    cipher=DEFAULT_CIPHER,
-) -> ReportRun:
-    """Propagate a terminated routing's flow from sink back to source.
+def _sink_first(
+    pos: dict[tuple[NodeId, NodeId], Funds], sink: NodeId
+) -> tuple[list[NodeId], dict[NodeId, list[tuple[NodeId, Funds]]], dict[NodeId, list[NodeId]]]:
+    """Order a non-empty positive flow's nodes sink-first, in reverse topological order.
 
-    Cycles are canceled first (they carry no payment and would loop the
-    relay).  Fresh per-edge keys are drawn for every positive-flow edge.
-    Every inbound packet at a relay is forwarded onward and every
-    predecessor edge is reported at least once, so the source ends up with
-    every flow fact; chains sharing a suffix produce duplicates that the
-    source discards.  An amount or node id of 2**64 or more raises
-    FactOverflow before anything is sealed.
+    Also returns each node's (predecessor, amount) list and successor list.
+    Raises ValueError unless every flow node drains into the sink along the
+    flow: nodes on a cycle, or behind flow leaving the sink, never become
+    ready and are missed by the order.
     """
-    acyclic = cancel_cycles(flow)
-    source, sink = flow.source, flow.sink
-    pos = acyclic.positive_edges()
-    for (u, v), a in pos.items():
-        if max(u, v, a) >= _FACT_LIMIT:
-            raise FactOverflow(f"flow {a} on edge ({u}, {v}) does not fit a 64-bit report fact")
-    if k_sink is None:
-        k_sink = _rand_bytes(rng, KEY_LEN)
-    edge_keys = {edge: _rand_bytes(rng, KEY_LEN) for edge in sorted(pos)}
     pos_in: dict[NodeId, list[tuple[NodeId, Funds]]] = {}
     pos_out: dict[NodeId, list[NodeId]] = {}
     for (u, v), a in sorted(pos.items()):
         pos_in.setdefault(v, []).append((u, a))
         pos_out.setdefault(u, []).append(v)
-    if not pos:
-        return ReportRun([], k_sink, [], 0, edge_keys)
-
-    # process nodes sink-first in reverse topological order of the flow
     order: list[NodeId] = []
     unprocessed_out = {v: len(ws) for v, ws in pos_out.items()}
-    ready = [sink]
-    seen = {sink}
+    ready = [] if sink in pos_out else [sink]
     while ready:
         ready.sort()
         v = ready.pop(0)
         order.append(v)
         for u, _ in pos_in.get(v, ()):
             unprocessed_out[u] -= 1
-            if unprocessed_out[u] == 0 and u not in seen:
-                seen.add(u)
+            if unprocessed_out[u] == 0:
                 ready.append(u)
+    missed = (pos_in.keys() | pos_out.keys()) - set(order)
+    if missed:
+        raise ValueError(
+            f"flow does not drain into sink {sink}: nodes {sorted(missed)} are not ordered"
+        )
+    return order, pos_in, pos_out
+
+
+def run_report(
+    flow: FlowAssignment,
+    k_sink: bytes | None = None,
+    rng: Random | None = None,
+    cipher=DEFAULT_CIPHER,
+) -> ReportRun:
+    """Propagate a terminated routing's acyclic flow from sink back to source.
+
+    Fresh per-edge keys are drawn for every positive-flow edge.  Every
+    inbound packet at a relay is forwarded onward and every predecessor
+    edge is reported at least once, so the source ends up with every flow
+    fact; chains sharing a suffix produce duplicates that the source
+    discards.  An amount or node id of 2**64 or more raises FactOverflow
+    before anything is sealed; a flow node that does not drain into the
+    sink along the flow (a cycle, for one) raises ValueError.
+    """
+    source, sink = flow.source, flow.sink
+    pos = flow.positive_edges()
+    for (u, v), a in pos.items():
+        if max(u, v, a) >= _FACT_LIMIT:
+            raise FactOverflow(f"flow {a} on edge ({u}, {v}) does not fit a 64-bit report fact")
+    if k_sink is None:
+        k_sink = _rand_bytes(rng, KEY_LEN)
+    edge_keys = {edge: _rand_bytes(rng, KEY_LEN) for edge in sorted(pos)}
+    if not pos:
+        return ReportRun([], k_sink, [], 0, edge_keys)
+    order, pos_in, pos_out = _sink_first(pos, sink)
 
     # longest flow path in edges; fixes the uniform packet length schedule
     longest: dict[NodeId, int] = {}
@@ -294,10 +289,11 @@ def reconstruct(
 ) -> ReconstructedFlow:
     """Peel every packet layer by layer and rebuild the flow and its paths.
 
-    Facts are deduplicated; an edge reported with two different values, or a
-    fact set violating conservation, raises InconsistentFlow.  Decryption
-    starts from the sink-sealed unit (the last non-filler unit) and walks
-    left, each fact yielding the key for the next unit.
+    Facts are deduplicated.  An edge reported with two different values, a
+    fact set with a cycle, or one violating conservation raises
+    InconsistentFlow: honest relays report only edges of the acyclic flow.
+    Decryption starts from the sink-sealed unit (the last non-filler unit)
+    and walks left, each fact yielding the key for the next unit.
     """
     fillers = set(filler_set)
     facts: dict[tuple[NodeId, NodeId], Funds] = {}
@@ -323,14 +319,15 @@ def reconstruct(
             node = pred
 
     flow = FlowAssignment(source, sink)
+    if not facts:
+        return ReconstructedFlow(flow, [])
+    try:
+        _sink_first(facts, sink)
+    except ValueError as exc:
+        raise InconsistentFlow(f"reported facts are not acyclic: {exc}") from None
     for (u, v), a in facts.items():
         flow.add(u, v, a)
-    flow = cancel_cycles(flow)
-    for v in flow.nodes():
-        if v in (source, sink):
-            continue
-        net = sum(a for (x, y), a in flow.pairs() if y == v)
-        if net != 0:
-            raise InconsistentFlow(f"conservation broken at node {v}: net {net}")
-    paths = decompose(flow) if facts else []
-    return ReconstructedFlow(flow, paths)
+    bad = flow.unbalanced()
+    if bad:
+        raise InconsistentFlow(f"conservation broken: net inflow {bad}")
+    return ReconstructedFlow(flow, decompose(flow))

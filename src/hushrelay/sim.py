@@ -306,7 +306,3 @@ def run(
 ) -> RoutingOutcome:
     """Route val from s to r under cfg and return the outcome."""
     return Simulator(g, s, r, val, cfg, trace).run()
-
-
-def quiescent(sim: Simulator) -> bool:
-    return sim.quiescent()

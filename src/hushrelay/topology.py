@@ -9,15 +9,10 @@ seed alone.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 
 from .graph import ChannelGraph, Funds, NodeId
-from .netfile import ParseError, _content_lines, _int_field
-
-# re-exported here so workload and network I/O live beside generation
-from .netfile import load_network, save_network, loads_network, dumps_network  # noqa: F401
 
 
 class InvalidConfig(ValueError):
@@ -108,34 +103,3 @@ def generate_workload(g: ChannelGraph, cfg: WorkloadConfig) -> list[Transaction]
             r += 1
         txns.append(Transaction(s, r, rng.randint(lo, hi)))
     return txns
-
-
-def loads_workload(text: str) -> list[Transaction]:
-    txns: list[Transaction] = []
-    for line_no, line in _content_lines(text):
-        fields = line.split()
-        if fields[0] != "txn" or len(fields) != 4:
-            raise ParseError(line_no, f"expected 'txn <s> <r> <val>', got {line!r}")
-        s = _int_field(line_no, fields[1], "node id")
-        r = _int_field(line_no, fields[2], "node id")
-        val = _int_field(line_no, fields[3], "value")
-        if s == r:
-            raise ParseError(line_no, f"source and sink must differ, got {s}")
-        if val < 0:
-            raise ParseError(line_no, f"value must be >= 0, got {val}")
-        txns.append(Transaction(s, r, val))
-    return txns
-
-
-def dumps_workload(txns: list[Transaction]) -> str:
-    return "".join(f"txn {t.s} {t.r} {t.val}\n" for t in txns)
-
-
-def load_workload(path: str | os.PathLike) -> list[Transaction]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_workload(fh.read())
-
-
-def save_workload(txns: list[Transaction], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_workload(txns))

@@ -1,6 +1,6 @@
 import pytest
 
-from hushrelay.graph import ChannelGraph
+from hushrelay.graph import ChannelGraph, FlowAssignment
 
 # Worked five-node example used throughout: S=0, A=1, B=2, C=3, R=4.
 # Max flow S->R is 20, limited by the C->R channel.
@@ -20,3 +20,11 @@ def five_node_graph() -> ChannelGraph:
 @pytest.fixture
 def example_graph() -> ChannelGraph:
     return five_node_graph()
+
+
+def reversed_flow(f: FlowAssignment) -> FlowAssignment:
+    """The same edge amounts sent the other way; apply_flow of it undoes f."""
+    back = FlowAssignment(f.sink, f.source)
+    for (v, w), a in f.positive_edges().items():
+        back.add(w, v, a)
+    return back

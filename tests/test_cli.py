@@ -149,3 +149,13 @@ class TestBench:
         assert len(lines) == 3
         assert lines[1].split(",")[6] == "1"  # 15 units deliver fully
         assert lines[2].split(",")[6] == "0"  # 21 exceeds the 20-unit cut
+
+    @pytest.mark.parametrize("row", ["txn 7 2 5", "txn 2 7 5"])
+    def test_workload_node_out_of_range_is_parse_error(self, tmp_path, example_file, capsys, row):
+        # rejected when the file is loaded, before any row is routed
+        wl = tmp_path / "w.txt"
+        wl.write_text(f"txn 0 4 15\n{row}\n")
+        assert main(["bench", "--network", example_file, "--workload", str(wl)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "parse error: line 2: node 7 out of range 0..4" in err

@@ -1,6 +1,8 @@
 import random
 from collections import deque
 
+import pytest
+
 from hushrelay.decompose import cancel_cycles, decompose
 from hushrelay.graph import FlowAssignment
 from hushrelay.sim import SimConfig, run
@@ -61,6 +63,15 @@ class TestDecompose:
         f.add(0, 2, 5)
         f.add(2, 3, 5)
         assert decompose(f) == [((0, 1, 3), 5), ((0, 2, 3), 5)]
+
+    def test_circulation_rejected(self):
+        # a 3-cycle hanging off the path; a FlowAssignment nets a pair's two
+        # directions, so three edges is the shortest cycle it can hold
+        f = FlowAssignment(0, 3)
+        for v, w, a in [(0, 1, 5), (1, 3, 5), (1, 2, 3), (2, 4, 3), (4, 1, 3)]:
+            f.add(v, w, a)
+        with pytest.raises(ValueError, match="not acyclic"):
+            decompose(f)
 
     def test_path_values_sum_to_delivered_on_random_flows(self):
         rng = random.Random(31)

@@ -6,14 +6,12 @@ from hushrelay.graph import (
     DuplicateChannel,
     FlowAssignment,
     NegativeCapacity,
-    ResidualView,
     SelfLoop,
     UnknownChannel,
     apply_flow,
-    residual,
 )
 
-from .conftest import A, B, C, R, S
+from .conftest import A, B, C, R, S, reversed_flow
 
 
 class TestOpenChannel:
@@ -57,58 +55,33 @@ class TestOpenChannel:
         assert g.neighbors(0) == [2]
         assert g.neighbors(2) == [0]
 
-
-class TestCloseChannel:
-    def test_close_without_flow_returns_opening_split(self):
-        g = ChannelGraph(3)
-        cid = g.open_channel(0, 1, 7, 3)
-        assert g.close_channel(cid) == (7, 3)
-        assert not g.has_channel(0, 1)
-
-    def test_close_after_flow_reflects_balance_shift(self):
-        # 4 units pushed 0->1 turn a (7, 3) split into (3, 7)
-        g = ChannelGraph(3)
-        cid = g.open_channel(0, 1, 7, 3)
-        f = FlowAssignment(0, 1)
-        f.add(0, 1, 4)
-        g2 = apply_flow(g, f)
-        assert g2.close_channel(cid) == (3, 7)
-
-    def test_close_unknown_channel(self):
+    def test_unknown_channel_lookup_rejected(self):
         g = ChannelGraph(3)
         with pytest.raises(UnknownChannel):
-            g.close_channel((0, 1))
+            g.channel((0, 1))
 
 
 class TestResidual:
+    # apply_flow leaves each direction at its residual capacity c - f
     def test_saturating_push_leaves_zero_residual(self, example_graph):
         f = FlowAssignment(S, R)
         f.add(S, A, 10)
-        assert residual(example_graph, f, S, A) == 0
+        assert apply_flow(example_graph, f).capacity(S, A) == 0
 
     def test_zero_flow_residual_equals_capacity(self, example_graph):
         f = FlowAssignment(S, R)
-        assert residual(example_graph, f, S, A) == 10
+        assert apply_flow(example_graph, f).capacity(S, A) == 10
 
     def test_reverse_residual_from_antisymmetry(self, example_graph):
         # f(A,S) = -10 against c(A,S) = 0 opens 10 units of reverse residual
         f = FlowAssignment(S, R)
         f.add(S, A, 10)
         assert f.get(A, S) == -10
-        assert residual(example_graph, f, A, S) == 10
+        assert apply_flow(example_graph, f).capacity(A, S) == 10
 
     def test_non_edge_residual_is_zero(self, example_graph):
         f = FlowAssignment(S, R)
-        assert residual(example_graph, f, S, C) == 0
-
-    def test_residual_view_wraps_same_numbers(self, example_graph):
-        f = FlowAssignment(S, R)
-        f.add(S, A, 4)
-        view = ResidualView(example_graph, f)
-        assert view.of(S, A) == 6
-        assert view.of(A, S) == 4
-        # the two directions always account for the full channel escrow
-        assert view.of(S, A) + view.of(A, S) == example_graph.capacity(S, A) + example_graph.capacity(A, S)
+        assert apply_flow(example_graph, f).capacity(S, C) == 0
 
 
 class TestApplyFlow:
@@ -128,7 +101,7 @@ class TestApplyFlow:
         f = FlowAssignment(S, R)
         f.add(S, A, 7)
         f.add(A, C, 7)
-        g2 = apply_flow(apply_flow(example_graph, f), f.negate())
+        g2 = apply_flow(apply_flow(example_graph, f), reversed_flow(f))
         assert g2 == example_graph
 
     def test_escrow_total_conserved(self, example_graph):
@@ -148,6 +121,20 @@ class TestFlowAssignment:
         f = FlowAssignment(S, R)
         f.add(C, R, 15)
         assert f.value == 15
+
+    def test_opposite_adds_cancel_to_empty(self):
+        f = FlowAssignment(S, R)
+        f.add(A, C, 4)
+        f.add(C, A, 4)
+        assert f.positive_edges() == {}
+        assert f == FlowAssignment(S, R)
+
+    def test_pair_stored_once_as_positive_net(self):
+        f = FlowAssignment(S, R)
+        f.add(A, C, 4)
+        f.add(C, A, 6)
+        assert f.positive_edges() == {(C, A): 2}
+        assert f.get(A, C) == -2
 
     def test_validate_accepts_worked_flow(self, example_graph):
         f = FlowAssignment(S, R)

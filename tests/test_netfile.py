@@ -3,11 +3,13 @@ import pytest
 from hushrelay.netfile import (
     ParseError,
     dumps_network,
+    dumps_workload,
     load_network,
     loads_network,
+    loads_workload,
     save_network,
 )
-from hushrelay.topology import dumps_workload, loads_workload, Transaction
+from hushrelay.topology import Transaction
 
 from .conftest import five_node_graph
 
@@ -89,9 +91,15 @@ def test_workload_round_trip():
     txns = [Transaction(0, 3, 15), Transaction(2, 1, 40)]
     text = dumps_workload(txns)
     assert text == "txn 0 3 15\ntxn 2 1 40\n"
-    assert loads_workload(text) == txns
+    assert loads_workload(text, 4) == txns
 
 
 def test_workload_rejects_same_endpoints():
     with pytest.raises(ParseError):
-        loads_workload("txn 1 1 5\n")
+        loads_workload("txn 1 1 5\n", 4)
+
+
+@pytest.mark.parametrize("text", ["txn 0 4 5\n", "txn -1 2 5\n"])
+def test_workload_rejects_node_ids_outside_the_network(text):
+    with pytest.raises(ParseError, match="line 1: node -?[0-9]+ out of range 0..3"):
+        loads_workload(text, 4)

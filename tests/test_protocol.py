@@ -7,7 +7,6 @@ from hushrelay.protocol import (
     Nak,
     ProtocolError,
     PushRequest,
-    Role,
     SameSourceSink,
     SinkDistance,
     UnknownNeighbor,

@@ -9,7 +9,6 @@ from hushrelay.report import (
     AuthFailure,
     FactOverflow,
     InconsistentFlow,
-    NullCipher,
     ReportPacket,
     build_report,
     reconstruct,
@@ -57,6 +56,13 @@ class TestBuildReport:
         f.add(*edge, amount)
         with pytest.raises(FactOverflow):
             run_report(f, rng=Random(1), cipher=NoSealing())
+
+    def test_circulation_rejected(self):
+        f = FlowAssignment(0, 3)
+        for v, w, a in [(0, 1, 5), (1, 3, 5), (1, 2, 3), (2, 4, 3), (4, 1, 3)]:
+            f.add(v, w, a)
+        with pytest.raises(ValueError, match=r"nodes \[0, 1, 2, 4\] are not ordered"):
+            run_report(f, rng=Random(1))
 
     def test_largest_u64_amount_round_trips(self):
         f = FlowAssignment(0, 1)
@@ -131,12 +137,23 @@ class TestReconstruct:
         with pytest.raises(InconsistentFlow):
             reconstruct(S, R, rr.source_packets + [forged[C]], rr.k_sink, rr.filler_set)
 
-    def test_null_cipher_round_trip(self, example_graph):
+
+    def test_forged_two_cycle_is_inconsistent(self, example_graph):
+        # relays B and A each forge one more hop, A->B and B->A with equal
+        # amounts: the fact set still conserves, but it holds a cycle
         out = worked_outcome(example_graph)
-        cipher = NullCipher()
-        rr = run_report(out.flow, rng=Random(13), cipher=cipher)
-        rec = reconstruct(S, R, rr.source_packets, rr.k_sink, rr.filler_set, cipher=cipher)
-        assert rec.flow == out.flow
+        rr = run_report(out.flow, rng=Random(13))
+        keys = rr.edge_keys
+        sealed, _ = build_report(R, [(C, 15, keys[(C, R)])], rr.k_sink, depth=3, rng=Random(14))
+        at_c = relay_report(
+            sealed[C], keys[(C, R)], [(A, 10, keys[(A, C)]), (B, 5, keys[(B, C)])], rng=Random(15)
+        )
+        forged = [
+            relay_report(at_c[B], keys[(B, C)], [(A, 3, b"\x04" * 32)], rng=Random(16))[A],
+            relay_report(at_c[A], keys[(A, C)], [(B, 3, b"\x05" * 32)], rng=Random(17))[B],
+        ]
+        with pytest.raises(InconsistentFlow, match="not acyclic"):
+            reconstruct(S, R, rr.source_packets + forged, rr.k_sink, rr.filler_set)
 
 
 class TestRoundTripCorpus:

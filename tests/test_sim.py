@@ -9,7 +9,6 @@ from hushrelay.sim import (
     LatencyModel,
     SimConfig,
     Simulator,
-    quiescent,
     run,
 )
 from hushrelay.topology import BAConfig, generate_ba
@@ -103,19 +102,19 @@ class TestRun:
 class TestQuiescent:
     def test_false_right_after_init(self, example_graph):
         sim = Simulator(example_graph, S, R, 15, SimConfig(seed=0))
-        assert not quiescent(sim)
+        assert not sim.quiescent()
 
     def test_true_after_completion(self, example_graph):
         sim = Simulator(example_graph, S, R, 15, SimConfig(seed=0))
         sim.run()
-        assert quiescent(sim)
+        assert sim.quiescent()
 
     def test_false_with_reply_in_flight(self, example_graph):
         sim = Simulator(example_graph, S, R, 15, SimConfig(seed=0))
         # step until the first push request has been applied at the sender
         while not any(sim.states[v].pending for v in range(5)):
             assert sim.step()
-        assert not quiescent(sim)
+        assert not sim.quiescent()
 
 
 class TestDelivery:
