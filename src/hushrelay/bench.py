@@ -114,6 +114,21 @@ class ExperimentReport:
                 agg["mean_wallclock_ttr_hw"] = statistics.fmean(
                     r.wallclock_ttr for r in done
                 )
+        # the two classes cost very different amounts, so each gets its share
+        messages = sum(r.messages for r in self.rows)
+        seconds = sum(r.wallclock_ttr for r in self.rows)
+        for name, feasible in (("feasible", True), ("infeasible", False)):
+            rows = [r for r in self.rows if r.feasible == feasible]
+            mine = sum(r.messages for r in rows)
+            split = {
+                "count": len(rows),
+                "mean_messages": mine / len(rows) if rows else 0.0,
+                "message_share": mine / messages if messages else 0.0,
+            }
+            if self.with_wallclock:
+                time_spent = sum(r.wallclock_ttr for r in rows)
+                split["time_share"] = time_spent / seconds if seconds else 0.0
+            agg[name] = split
         return agg
 
     def write_csv(self, fh: IO[str]) -> None:
@@ -152,6 +167,15 @@ class ExperimentReport:
             lines.append(
                 f"wallclock_ttr     mean {agg['mean_wallclock_ttr_hw']:.4f}s (hardware-bound)"
             )
+        for name in ("feasible", "infeasible"):
+            split = agg[name]
+            line = (
+                f"{name:<18}{split['count']} txns  mean_messages {split['mean_messages']:.1f}  "
+                f"messages {split['message_share']:.1%}"
+            )
+            if "time_share" in split:
+                line += f"  time {split['time_share']:.1%}"
+            lines.append(line)
         return lines
 
 

@@ -99,8 +99,8 @@ def loads_workload(text: str, n: int) -> list[Transaction]:
                 raise ParseError(line_no, f"node {v} out of range 0..{n - 1}")
         if s == r:
             raise ParseError(line_no, f"source and sink must differ, got {s}")
-        if val < 0:
-            raise ParseError(line_no, f"value must be >= 0, got {val}")
+        if val <= 0:
+            raise ParseError(line_no, f"value must be > 0, got {val}")
         txns.append(Transaction(s, r, val))
     return txns
 

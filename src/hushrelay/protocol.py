@@ -1,26 +1,33 @@
 """Distributed push-relabel routing as per-node state machines.
 
 Each node owns its label, excess, per-edge flow ledger and a cache of
-neighbor labels, and reacts to five message kinds: PushRequest, Accept,
-Nak, LabelUpdate and SinkDistance.  Handlers touch only the receiving
-node's state and return outbound messages, so any dispatcher that delivers
-messages to one node at a time (single-threaded or sharded) yields the
-same behavior.
+neighbor labels, and reacts to six message kinds: PushRequest, Accept,
+Nak, LabelUpdate, SinkDistance and CutOff.  Handlers touch only the
+receiving node's state and return outbound messages, so any dispatcher that
+delivers messages to one node at a time (single-threaded or sharded) yields
+the same behavior.
 
 Key rules:
   - a push is applied optimistically at the sender and rolled back exactly
     on Nak;
   - the receiver accepts iff its label is strictly below the label carried
-    in the request;
+    in the request, unless the current epoch's SinkDistance wave missed it
+    and it heard that wave from the sender, whose label is at most n: the
+    sender may still reach r, and the receiver must stay cut off from it;
   - at most one push is in flight per directed edge, and a node never
     relabels while it has any push in flight (so a request always carries
     the sender's current label);
-  - label caches only ever increase (stale updates are discarded), fed by
-    Accept/Nak payloads and LabelUpdate and SinkDistance broadcasts;
-  - before any push, a breadth-first SinkDistance wave from r gives every
-    node it reaches its hop distance to r over residual channels (under
-    jittered latency, the length of the path the wave first arrived along),
-    so excess heads toward r instead of flooding from all-zero labels.
+  - labels and label caches only ever increase (stale updates are
+    discarded); caches are fed by Accept/Nak payloads and LabelUpdate,
+    SinkDistance and CutOff broadcasts;
+  - routing runs in numbered epochs.  Each starts with a breadth-first
+    SinkDistance wave from r that lifts every node it reaches to its hop
+    distance to r over residual channels (under jittered latency, the length
+    of the path the wave first arrived along), so excess heads toward r
+    instead of flooding from all-zero labels.  Once that wave has died out,
+    a CutOff wave from s lifts the nodes it did not reach, and from which
+    s can be reached, to n+2 plus their hop distance to the feeder, so
+    undeliverable excess drains back without climbing one relabel at a time.
 
 Routing an amount val attaches a virtual source feeding s exactly val and a
 virtual sink absorbing at most val from r.  Both are passive: they accept
@@ -93,10 +100,18 @@ class LabelUpdate:
 @dataclass(slots=True)
 class SinkDistance:
     sender: NodeId
-    label: int
+    label: int  # the sender's hop distance to r
+    epoch: int
 
 
-Message = PushRequest | Accept | Nak | LabelUpdate | SinkDistance
+@dataclass(slots=True)
+class CutOff:
+    sender: NodeId
+    label: int  # n+2 plus the sender's hop distance to the feeder
+    epoch: int
+
+
+Message = PushRequest | Accept | Nak | LabelUpdate | SinkDistance | CutOff
 Outbound = tuple[NodeId, Message]
 
 
@@ -120,10 +135,20 @@ class NodeState:
     relabel_count: int = 0
     next_request: int = 0
     wake_scheduled: bool = False
-    # the SinkDistance wave has reached this node (set at r when it starts)
-    reached: bool = False
+    # last epoch whose SinkDistance wave reached this node (0: none yet)
+    reached: int = 0
+    # last epoch whose CutOff wave lifted this node
+    cut_off: int = 0
+    # neighbors whose wave of epoch heard_epoch arrived while this node was
+    # not reached in that epoch (it refuses their pushes); emptied when it
+    # is reached
+    heard: list[NodeId] | tuple = ()
+    heard_epoch: int = 0
     # a virtual endpoint: accepts pushes, never originates one
     passive: bool = False
+    # real nodes in the network: under valid labels, a node labeled above n
+    # cannot reach r
+    n: int = 0
 
     @property
     def active(self) -> bool:
@@ -139,6 +164,8 @@ class RoutingOutcome:
     relabels: int
     simulated_time: int
     terminated: bool
+    # epochs started after the first, each by a fresh SinkDistance wave
+    global_relabels: int = 0
 
 
 def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> dict[NodeId, NodeState]:
@@ -172,6 +199,7 @@ def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> dict[Nod
             neighbor_labels=dict.fromkeys(nbrs, 0),
             channel_neighbors=nbrs,
             scan_order=nbrs,
+            n=g.n,
         )
         states[v] = st
 
@@ -270,7 +298,13 @@ def on_push_request(v: NodeState, m: PushRequest) -> Sequence[Outbound]:
     """Accept the push iff our label is below the sender's; otherwise Nak.
 
     Acceptance applies the inflow to the local ledger.  Either reply carries
-    our current label so the sender can repair its cache.
+    our current label so the sender can repair its cache.  A node the
+    current epoch's wave did not reach refuses pushes from the neighbors it
+    heard that wave from while their label is at most n: accepting would
+    give it residual capacity toward a node that can still reach r, and a
+    neighbor already lifted past the feeder by the cut-off wave would then
+    sit on an open path to r.  Its Nak reports at least the sender's label,
+    so the sender stops offering until it climbs above that.
     """
     sender = m.sender
     flow = v.edge_flow
@@ -280,11 +314,15 @@ def on_push_request(v: NodeState, m: PushRequest) -> Sequence[Outbound]:
     amount = m.amount
     if amount <= 0:
         raise ProtocolError(f"push of non-positive amount {amount}")
-    if v.label < m.sender_label:
+    label = v.label
+    if v.heard and m.sender_label <= v.n and sender in v.heard:
+        if label < m.sender_label:
+            label = m.sender_label
+    elif label < m.sender_label:
         flow[sender] = current - amount
         v.excess += amount
-        return ((sender, Accept(m.request_id, amount, v.label)),)
-    return ((sender, Nak(m.request_id, amount, v.label)),)
+        return ((sender, Accept(m.request_id, amount, label)),)
+    return ((sender, Nak(m.request_id, amount, label)),)
 
 
 def on_reply(v: NodeState, m: Accept | Nak) -> Sequence[Outbound]:
@@ -313,13 +351,26 @@ def on_label_update(v: NodeState, m: LabelUpdate) -> None:
         cache[m.sender] = m.new_label
 
 
-def on_sink_distance(v: NodeState, m: SinkDistance) -> Sequence[Outbound]:
-    """Feed the label cache; adopt and forward the first wave over a residual edge.
+def _has_residual(v: NodeState, w: NodeId) -> bool:
+    """True iff we have residual capacity toward w once our in-flight push to w is rolled back."""
+    res = v.cap[w] - v.edge_flow[w]
+    if res <= 0 and w in v.busy:
+        for nbr, delta in v.pending.values():
+            if nbr == w:
+                return res + delta > 0
+    return res > 0
 
-    The first SinkDistance from a neighbor we have residual capacity toward
+
+def on_sink_distance(v: NodeState, m: SinkDistance) -> Sequence[Outbound]:
+    """Feed the label cache; adopt and forward the epoch's first wave over a residual edge.
+
+    The first SinkDistance of an epoch from a neighbor we have residual
+    capacity toward (our own in-flight push to it counted as rolled back)
     makes us one hop further from r than it.  Labels never decrease, so a
-    node that already relabeled above that keeps its label.  We forward the
-    hop distance, which never exceeds our label, to every channel neighbor.
+    node already above that keeps its label.  We forward the hop distance,
+    which never exceeds our label, to every channel neighbor.  A wave we do
+    not adopt is remembered by sender until we are reached: those neighbors
+    can reach r and we cannot.
     """
     w = m.sender
     cache = v.neighbor_labels
@@ -328,13 +379,55 @@ def on_sink_distance(v: NodeState, m: SinkDistance) -> Sequence[Outbound]:
         raise UnknownNeighbor(f"node {v.id} got a sink distance from non-neighbor {w}")
     if m.label > current:
         cache[w] = m.label
-    if v.reached or v.cap[w] - v.edge_flow[w] <= 0:
+    epoch = m.epoch
+    if v.reached >= epoch:
         return ()
-    v.reached = True
+    # the plain check first: the call only matters with a push in flight to w
+    if v.cap[w] - v.edge_flow[w] <= 0 and not _has_residual(v, w):
+        if v.heard_epoch != epoch:
+            v.heard_epoch = epoch
+            v.heard = [w]
+        else:
+            v.heard.append(w)
+        return ()
+    v.reached = epoch
+    if v.heard:
+        v.heard = ()
     hops = m.label + 1
     if hops > v.label:
         v.label = hops
-    wave = SinkDistance(v.id, hops)
+    wave = SinkDistance(v.id, hops, epoch)
+    return [(u, wave) for u in v.channel_neighbors]
+
+
+def on_cut_off(v: NodeState, m: CutOff) -> Sequence[Outbound]:
+    """Feed the label cache; take and forward the epoch's first cut-off over a residual edge.
+
+    The wave starts at s (as if sent by the feeder at label n+2) once the
+    epoch's SinkDistance wave has died out.  Only a node that wave did not
+    reach, and that has no residual capacity toward any neighbor it heard
+    the wave from, takes the sender's level + 1; every other node only
+    updates its cache.  Levels stay at most 2n+2 on n real nodes.
+    """
+    w = m.sender
+    cache = v.neighbor_labels
+    current = cache.get(w)
+    if current is None:
+        raise UnknownNeighbor(f"node {v.id} got a cut-off from non-neighbor {w}")
+    if m.label > current:
+        cache[w] = m.label
+    epoch = m.epoch
+    if v.cut_off >= epoch or v.reached >= epoch or v.cap[w] - v.edge_flow[w] <= 0:
+        return ()
+    if v.heard_epoch == epoch:
+        for u in v.heard:
+            if _has_residual(v, u):
+                return ()
+    v.cut_off = epoch
+    level = m.label + 1
+    if level > v.label:
+        v.label = level
+    wave = CutOff(v.id, level, epoch)
     return [(u, wave) for u in v.channel_neighbors]
 
 
@@ -359,6 +452,7 @@ def extract_outcome(
     messages_sent: int,
     simulated_time: int,
     terminated: bool = True,
+    global_relabels: int = 0,
 ) -> RoutingOutcome:
     """Assemble the routing outcome from quiescent node states.
 
@@ -404,4 +498,5 @@ def extract_outcome(
         relabels=relabels,
         simulated_time=simulated_time,
         terminated=terminated,
+        global_relabels=global_relabels,
     )

@@ -5,7 +5,15 @@ inputs and configuration replay bit-identically.  Message latency comes
 from a seeded latency model; node activations are local continuations and
 run at the current timestamp.  Each run starts with the sink's
 SinkDistance wave; the source holds its excess until the wave reaches it,
-or until the network goes quiet if no residual path to the sink exists.
+or until the wave dies out if no residual path to the sink exists.
+
+Global relabeling: the dispatcher counts the wave messages in flight, so it
+sees for free when a wave dies out (a deployment would pay one echo per
+wave message).  When an epoch's SinkDistance wave dies out, the source
+starts that epoch's CutOff wave.  After 2n relabels since the last epoch
+began, and only once both waves of that epoch are gone, the sink starts the
+next epoch's SinkDistance wave.
+
 The dispatcher is single-threaded; handlers only touch the addressed node,
 so a sharded dispatcher preserving per-node serial execution and per-edge
 FIFO delivery would observe the same outcomes.
@@ -23,6 +31,7 @@ from .graph import ChannelGraph, Funds, NodeId
 from . import protocol
 from .protocol import (
     Accept,
+    CutOff,
     LabelUpdate,
     Nak,
     PushRequest,
@@ -97,6 +106,7 @@ _EVENT_NAMES = {
     Nak: "nak",
     LabelUpdate: "label_update",
     SinkDistance: "sink_distance",
+    CutOff: "cut_off",
 }
 
 
@@ -140,13 +150,58 @@ class Simulator:
         )
         # s starts pushing once the wave from r reaches it (see _dispatch)
         self._source_held = True
-        sink = self.states[r]
-        sink.reached = True
-        wave = SinkDistance(r, sink.label)
-        for w in sink.channel_neighbors:
+        self.epoch = 0
+        self._relabels_since = 0
+        self._waves = 0  # wave messages in flight
+        self._cut_off_running = False
+        self._start_epoch(0)
+
+    # -- global relabeling -------------------------------------------------
+
+    def _send_wave(self, frm: NodeId, out, now: int) -> None:
+        latency, rng = self.cfg.latency, self._rng
+        for dest, m in out:
             self._seq += 1
-            heappush(self._queue, (latency.sample(self._rng), self._seq, w, r, wave))
-        self.messages_sent = len(sink.channel_neighbors)
+            heappush(self._queue, (now + latency.sample(rng), self._seq, dest, frm, m))
+        self.messages_sent += len(out)
+        self._waves += len(out)
+
+    def _start_epoch(self, now: int) -> None:
+        """r starts the next epoch's SinkDistance wave."""
+        self.epoch += 1
+        self._relabels_since = 0
+        sink = self.states[self.sink]
+        sink.reached = self.epoch
+        wave = SinkDistance(self.sink, 0, self.epoch)
+        self._send_wave(self.sink, [(w, wave) for w in sink.channel_neighbors], now)
+        if not self._waves:
+            self._wave_died(now)
+
+    def _wave_died(self, now: int) -> None:
+        """The last message of the running wave was delivered and spawned none."""
+        if not self._cut_off_running:
+            # the SinkDistance wave is gone: release s if it never arrived,
+            # and let s start the CutOff wave as if the feeder sent it
+            held, self._source_held = self._source_held, False
+            src = self.states[self.source]
+            label = src.label
+            out = protocol.on_cut_off(src, CutOff(self._sp, self.graph.n + 2, self.epoch))
+            if (held or src.label != label) and src.excess > 0 and not src.wake_scheduled:
+                src.wake_scheduled = True
+                self._wakes.append(self.source)
+            self._send_wave(self.source, out, now)
+            if self._waves:
+                self._cut_off_running = True
+                return
+        self._cut_off_running = False
+        if self._relabels_since >= 2 * self.graph.n:
+            self._start_epoch(now)
+
+    def _between(self, step, now: int, seq: int, held: bool, waves: int, relabels: int):
+        """Run a wave step from inside _dispatch, which keeps this state in locals."""
+        self._seq, self._source_held, self._waves, self._relabels_since = seq, held, waves, relabels
+        step(now)
+        return self._seq, self._source_held, self._waves, self._relabels_since
 
     # -- dispatch --------------------------------------------------------
 
@@ -169,13 +224,18 @@ class Simulator:
         check = self.cfg.check_invariants
         trace = self._trace
         n = self.graph.n
+        bound = 2 * (n + 2)
+        trigger = 2 * n
         on_activate = protocol.on_activate
         on_push_request = protocol.on_push_request
         on_label_update = protocol.on_label_update
         on_reply = protocol.on_reply
         on_sink_distance = protocol.on_sink_distance
+        on_cut_off = protocol.on_cut_off
         source = self.source
         held = self._source_held
+        waves = self._waves
+        relabels = self._relabels_since
         done = 0
         sent = 0
         delivered = 0
@@ -190,9 +250,19 @@ class Simulator:
                 st.wake_scheduled = False
                 label_before = st.label
                 out = on_activate(st)
-                if st.label != label_before and not st.wake_scheduled:
-                    st.wake_scheduled = True
-                    wakes.append(to)
+                if st.label != label_before:
+                    if st.label > bound:
+                        raise protocol.ProtocolError(
+                            f"node {to} label {st.label} exceeds bound {bound}"
+                        )
+                    if not st.wake_scheduled:
+                        st.wake_scheduled = True
+                        wakes.append(to)
+                    relabels += 1
+                    if relabels >= trigger and not waves:
+                        seq, held, waves, relabels = self._between(
+                            self._start_epoch, now, seq, held, waves, relabels
+                        )
             elif queue:
                 done += 1
                 t, _, to, frm, msg = heappop(queue)
@@ -203,15 +273,31 @@ class Simulator:
                 if trace is not None:
                     self._trace_line(t, frm, to, msg)
                 kind = type(msg)
-                if kind is PushRequest:
+                # the SinkDistance wave first: on feasible payments it is nearly all
+                if kind is SinkDistance:
+                    out = on_sink_distance(st, msg)
+                    if out:
+                        waves += len(out) - 1
+                        if to == source:
+                            held = False  # the first wave reached s
+                    else:
+                        waves -= 1
+                        if not waves:
+                            seq, held, waves, relabels = self._between(
+                                self._wave_died, now, seq, held, waves, relabels
+                            )
+                elif kind is PushRequest:
                     out = on_push_request(st, msg)
                 elif kind is LabelUpdate:
                     on_label_update(st, msg)
                     out = ()
-                elif kind is SinkDistance:
-                    out = on_sink_distance(st, msg)
-                    if to == source and out:
-                        held = False
+                elif kind is CutOff:
+                    out = on_cut_off(st, msg)
+                    waves += len(out) - 1
+                    if not waves:
+                        seq, held, waves, relabels = self._between(
+                            self._wave_died, now, seq, held, waves, relabels
+                        )
                 else:
                     on_reply(st, msg)
                     out = ()
@@ -223,13 +309,6 @@ class Simulator:
                 ):
                     st.wake_scheduled = True
                     wakes.append(to)
-            elif held:
-                # the network went quiet before the wave reached s: there is
-                # no residual path to r, so s drains its excess back
-                held = False
-                states[source].wake_scheduled = True
-                wakes.append(source)
-                continue
             else:
                 break
             for dest, m in out:
@@ -240,6 +319,8 @@ class Simulator:
             if check:
                 protocol.check_node_invariants(st, n)
         self._source_held = held
+        self._waves = waves
+        self._relabels_since = relabels
         self.now = now
         self.simulated_time = last_delivery
         self._seq = seq
@@ -280,6 +361,7 @@ class Simulator:
             messages_sent=self.messages_sent,
             simulated_time=self.simulated_time,
             terminated=terminated,
+            global_relabels=self.epoch - 1,
         )
 
     def run(self) -> RoutingOutcome:

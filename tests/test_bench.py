@@ -103,3 +103,27 @@ class TestAggregate:
         rows = [TxnResult(i, 0, 1, 5, True, 5, True, t, 0.0, 1, 0) for i, t in enumerate(ttrs)]
         # the rank-th smallest of 1..n is rank itself; ceil(0.95 * 30) = 29
         assert ExperimentReport(rows).aggregate["p95_simulated_ttr"] == rank
+
+    def test_feasible_and_infeasible_reported_apart(self):
+        def row(i, feasible, messages, seconds):
+            return TxnResult(i, 0, 1, 5, feasible, 5, feasible, 1, seconds, messages, 0)
+
+        rows = [row(0, True, 100, 0.5), row(1, True, 300, 0.5), row(2, False, 600, 3.0)]
+        report = ExperimentReport(rows, with_wallclock=True)
+        agg = report.aggregate
+        assert agg["feasible"] == {
+            "count": 2, "mean_messages": 200.0, "message_share": 0.4, "time_share": 0.25,
+        }
+        assert agg["infeasible"] == {
+            "count": 1, "mean_messages": 600.0, "message_share": 0.6, "time_share": 0.75,
+        }
+        lines = report.summary_lines()
+        assert "feasible          2 txns  mean_messages 200.0  messages 40.0%  time 25.0%" in lines
+        assert "infeasible        1 txns  mean_messages 600.0  messages 60.0%  time 75.0%" in lines
+        # without wall clocks there is no time share, and the CSV keeps its columns
+        plain = ExperimentReport(rows)
+        assert "time_share" not in plain.aggregate["infeasible"]
+        assert plain.summary_lines()[-1] == "infeasible        1 txns  mean_messages 600.0  messages 60.0%"
+        buf = io.StringIO()
+        plain.write_csv(buf)
+        assert buf.getvalue().splitlines()[0] == ",".join(CSV_COLUMNS)

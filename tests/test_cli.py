@@ -159,3 +159,27 @@ class TestBench:
         out, err = capsys.readouterr()
         assert out == ""
         assert "parse error: line 2: node 7 out of range 0..4" in err
+
+    def test_workload_zero_value_is_parse_error(self, tmp_path, example_file, capsys):
+        # used to route row 1 and then die on row 2 without writing --out
+        wl = tmp_path / "w.txt"
+        wl.write_text("txn 0 4 15\ntxn 0 4 0\n")
+        path = tmp_path / "out.csv"
+        assert main([
+            "bench", "--network", example_file, "--workload", str(wl), "--out", str(path),
+        ]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "parse error: line 2: value must be > 0, got 0" in err
+        assert not path.exists()
+
+    def test_zero_val_min_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        assert main([
+            "bench", "--nodes", "10", "--txns", "20", "--val-min", "0", "--val-max", "3",
+            "--seed", "1", "--out", str(path),
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "usage error: bad value range (0, 3)" in err
+        assert not path.exists()

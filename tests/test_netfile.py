@@ -103,3 +103,9 @@ def test_workload_rejects_same_endpoints():
 def test_workload_rejects_node_ids_outside_the_network(text):
     with pytest.raises(ParseError, match="line 1: node -?[0-9]+ out of range 0..3"):
         loads_workload(text, 4)
+
+
+@pytest.mark.parametrize("val", ["0", "-3"])
+def test_workload_rejects_non_positive_values(val):
+    with pytest.raises(ParseError, match=f"line 2: value must be > 0, got {val}"):
+        loads_workload(f"txn 0 1 5\ntxn 0 1 {val}\n", 4)

@@ -56,32 +56,69 @@ def test_oracle_flow_satisfies_all_constraints(cfg, pick):
         assert g.capacity(v, w) - a >= 0
 
 
-def test_oracle_and_routing_match_scipy_maximum_flow():
-    # a third oracle that shares no code with this package
+def scipy_max_flow(g, s, r):
+    """Max-flow value from scipy.sparse.csgraph, a third oracle sharing no code with this package."""
     np = pytest.importorskip("numpy")
     sparse = pytest.importorskip("scipy.sparse")
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    arcs = np.array(
+        [
+            arc
+            for ch in g.channels()
+            for arc in ((ch.u, ch.v, ch.cap_forward), (ch.v, ch.u, ch.cap_backward))
+            if arc[2] > 0
+        ],
+        dtype=np.int32,
+    ).reshape(-1, 3)
+    matrix = sparse.csr_array((arcs[:, 2], (arcs[:, 0], arcs[:, 1])), shape=(g.n, g.n))
+    return int(csgraph.maximum_flow(matrix, s, r).flow_value)
+
+
+def test_oracle_and_routing_match_scipy_maximum_flow():
+    pytest.importorskip("scipy.sparse.csgraph")
 
     @given(ba_configs, st.integers(0, 10**6), st.integers(1, 120))
     @settings(max_examples=40, deadline=None)
     def check(cfg, pick, val):
         g, s, r, _ = random_instance(cfg, pick, val)
-        arcs = np.array(
-            [
-                arc
-                for ch in g.channels()
-                for arc in ((ch.u, ch.v, ch.cap_forward), (ch.v, ch.u, ch.cap_backward))
-                if arc[2] > 0
-            ],
-            dtype=np.int32,
-        ).reshape(-1, 3)
-        matrix = sparse.csr_array((arcs[:, 2], (arcs[:, 0], arcs[:, 1])), shape=(g.n, g.n))
-        expected = int(csgraph.maximum_flow(matrix, s, r).flow_value)
+        expected = scipy_max_flow(g, s, r)
         assert maxflow_augmenting(g, s, r).max_value == expected
         out = Simulator(g, s, r, val, SimConfig(seed=pick)).run()
         assert out.delivered == min(val, expected)
 
     check()
+
+
+def test_infeasible_payments_deliver_max_flow_under_jitter():
+    # values above max-flow drive relabels past the 2n trigger, so global
+    # relabeling epochs run while pushes are reordered by jittered latency
+    pytest.importorskip("scipy.sparse.csgraph")
+    epochs = []
+
+    @given(
+        st.builds(
+            BAConfig,
+            n=st.integers(3, 40),
+            m_attach=st.just(2),
+            cap_range=st.tuples(st.integers(0, 10), st.integers(10, 60)),
+            seed=st.integers(0, 2**32 - 1),
+        ),
+        st.integers(0, 10**6),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def check(cfg, pick, extra):
+        g, s, r, _ = random_instance(cfg, pick, 0)
+        expected = maxflow_augmenting(g, s, r).max_value
+        assert scipy_max_flow(g, s, r) == expected
+        cfg_sim = SimConfig(seed=pick, latency=LatencyModel.uniform(1, 10), check_invariants=True)
+        out = Simulator(g, s, r, expected + extra, cfg_sim).run()
+        assert out.delivered == expected
+        assert out.returned == extra
+        epochs.append(out.global_relabels)
+
+    check()
+    assert any(epochs)
 
 
 @given(ba_configs, st.integers(0, 10**6), st.integers(0, 120))

@@ -3,6 +3,7 @@ import pytest
 from hushrelay import protocol
 from hushrelay.protocol import (
     Accept,
+    CutOff,
     LabelUpdate,
     Nak,
     ProtocolError,
@@ -14,6 +15,7 @@ from hushrelay.protocol import (
     ZeroValue,
     init_instance,
     on_activate,
+    on_cut_off,
     on_label_update,
     on_push_request,
     on_reply,
@@ -239,7 +241,7 @@ class TestOnLabelUpdate:
 class TestOnSinkDistance:
     def test_first_wave_over_residual_edge_adopted_and_forwarded(self, example_graph):
         states = init_instance(example_graph, S, R, 15)
-        out = on_sink_distance(states[C], SinkDistance(R, 0))
+        out = on_sink_distance(states[C], SinkDistance(R, 0, 1))
         assert states[C].label == 1
         assert [(dest, m.sender, m.label) for dest, m in out] == [
             (A, C, 1),
@@ -250,26 +252,26 @@ class TestOnSinkDistance:
     def test_adopted_only_once(self, example_graph):
         states = init_instance(example_graph, S, R, 15)
         st = states[C]
-        on_sink_distance(st, SinkDistance(R, 0))
-        assert not on_sink_distance(st, SinkDistance(R, 4))
+        on_sink_distance(st, SinkDistance(R, 0, 1))
+        assert not on_sink_distance(st, SinkDistance(R, 4, 1))
         assert st.label == 1
         assert st.neighbor_labels[R] == 4  # the cache still learns
 
     def test_never_adopted_across_zero_capacity(self, example_graph):
         states = init_instance(example_graph, S, R, 15)
         st = states[A]  # channel S-A has no capacity from A toward S
-        assert not on_sink_distance(st, SinkDistance(S, 3))
+        assert not on_sink_distance(st, SinkDistance(S, 3, 1))
         assert st.label == 0 and not st.reached
         assert st.neighbor_labels[S] == 3
         # a later wave over the residual edge A->C is still adopted
-        assert on_sink_distance(st, SinkDistance(C, 1))
+        assert on_sink_distance(st, SinkDistance(C, 1, 1))
         assert st.label == 2
 
     def test_never_lowers_a_cached_label(self, example_graph):
         states = init_instance(example_graph, S, R, 15)
         st = states[C]
         st.neighbor_labels[R] = 5
-        on_sink_distance(st, SinkDistance(R, 0))
+        on_sink_distance(st, SinkDistance(R, 0, 1))
         assert st.neighbor_labels[R] == 5
         assert st.label == 1
 
@@ -277,14 +279,110 @@ class TestOnSinkDistance:
         states = init_instance(example_graph, S, R, 15)
         st = states[C]
         st.label = 4  # relabeled before the wave arrived
-        out = on_sink_distance(st, SinkDistance(R, 0))
+        out = on_sink_distance(st, SinkDistance(R, 0, 1))
         assert st.label == 4
         assert {m.label for _, m in out} == {1}  # the hop distance, not the label
 
     def test_non_neighbor_rejected(self, example_graph):
         states = init_instance(example_graph, S, R, 15)
         with pytest.raises(UnknownNeighbor):
-            on_sink_distance(states[A], SinkDistance(B, 1))
+            on_sink_distance(states[A], SinkDistance(B, 1, 1))
+
+
+    def test_own_in_flight_push_counted_as_rolled_back(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        st = states[A]
+        st.excess, st.label = 10, 1
+        (dest, push), = on_activate(st)  # saturates A->C while in flight
+        assert dest == C and st.cap[C] - st.edge_flow[C] == 0
+        assert on_sink_distance(st, SinkDistance(C, 1, 2))
+        assert st.reached == 2 and st.label == 2
+
+    def test_unadopted_senders_remembered_until_reached(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        st = states[A]
+        on_sink_distance(st, SinkDistance(S, 3, 2))  # no capacity from A toward S
+        assert st.heard == [S] and st.heard_epoch == 2
+        on_sink_distance(st, SinkDistance(C, 1, 2))
+        assert st.reached == 2 and not st.heard
+
+
+class TestRefusal:
+    def test_cut_off_node_refuses_a_neighbor_that_reaches_r(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        st = states[A]
+        on_sink_distance(st, SinkDistance(S, 3, 2))
+        out = on_push_request(st, PushRequest(S, 0, 5, 4))
+        assert out == ((S, Nak(0, 5, 4)),)  # reports the sender's label, so it stops offering
+        assert st.label == 0 and st.excess == 0 and st.edge_flow[S] == 0
+
+    def test_sender_above_n_is_not_refused(self, example_graph):
+        # under valid labels a node above n cannot reach r any more
+        states = init_instance(example_graph, S, R, 15)
+        st = states[A]
+        on_sink_distance(st, SinkDistance(S, 3, 2))
+        out = on_push_request(st, PushRequest(S, 0, 5, 6))
+        assert out == ((S, Accept(0, 5, 0)),)
+
+    def test_reached_node_accepts_again(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        st = states[A]
+        on_sink_distance(st, SinkDistance(S, 3, 2))
+        on_sink_distance(st, SinkDistance(C, 1, 2))
+        out = on_push_request(st, PushRequest(S, 0, 5, 4))
+        assert out == ((S, Accept(0, 5, 2)),)
+
+
+class TestOnCutOff:
+    def test_lifts_unreached_node_and_forwards_its_level(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        st = states[A]
+        out = on_cut_off(st, CutOff(C, 9, 2))
+        assert st.label == 10 and st.cut_off == 2
+        assert out == [(S, CutOff(A, 10, 2)), (C, CutOff(A, 10, 2))]
+
+    def test_taken_once_per_epoch_but_always_cached(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        st = states[C]
+        on_cut_off(st, CutOff(R, 9, 2))
+        assert not on_cut_off(st, CutOff(R, 12, 2))
+        assert st.label == 10 and st.neighbor_labels[R] == 12
+        assert on_cut_off(st, CutOff(R, 12, 3))  # the next epoch lifts again
+        assert st.label == 13
+
+    def test_never_lowers_own_label(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        st = states[C]
+        st.label = 20
+        out = on_cut_off(st, CutOff(R, 9, 2))
+        assert st.label == 20
+        assert {m.label for _, m in out} == {10}
+
+    def test_node_reached_this_epoch_only_caches(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        st = states[C]
+        on_sink_distance(st, SinkDistance(R, 0, 2))
+        assert not on_cut_off(st, CutOff(A, 9, 2))
+        assert st.label == 1 and st.neighbor_labels[A] == 9
+
+    def test_never_taken_across_zero_capacity(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        st = states[A]  # no capacity from A toward S
+        assert not on_cut_off(st, CutOff(S, 9, 2))
+        assert st.label == 0 and st.cut_off == 0
+
+    def test_blocked_by_residual_toward_a_node_that_reached_r(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        st = states[A]
+        on_sink_distance(st, SinkDistance(S, 3, 2))
+        st.edge_flow[S] = -5  # S has since pushed 5 into A: A can reach S now
+        assert not on_cut_off(st, CutOff(C, 9, 2))
+        assert st.label == 0
+
+    def test_non_neighbor_rejected(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        with pytest.raises(UnknownNeighbor):
+            on_cut_off(states[A], CutOff(B, 9, 2))
 
 
 class TestExtractOutcome:

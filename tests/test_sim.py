@@ -4,6 +4,8 @@ from collections import deque
 import pytest
 
 from hushrelay.graph import ChannelGraph
+from hushrelay.netfile import loads_network
+from hushrelay.protocol import ProtocolError
 from hushrelay.sim import (
     EventBudgetExhausted,
     LatencyModel,
@@ -88,6 +90,15 @@ class TestRun:
         with pytest.raises(EventBudgetExhausted) as exc:
             run(example_graph, S, R, 15, SimConfig(seed=0, max_events=3))
         assert exc.value.sim.events_dispatched > 0
+
+    def test_label_bound_checked_without_invariant_checks(self, example_graph):
+        sim = Simulator(example_graph, S, R, 15, SimConfig(seed=0, check_invariants=False))
+        # corrupted caches: S's first relabel lands one above 2(n+2) = 14
+        src = sim.states[S]
+        for w in src.neighbor_labels:
+            src.neighbor_labels[w] = 14
+        with pytest.raises(ProtocolError, match="node 0 label 15 exceeds bound 14"):
+            sim.run()
 
     def test_simulated_time_is_last_delivery(self, example_graph):
         out = run(example_graph, S, R, 15, SimConfig(seed=0))
@@ -221,3 +232,111 @@ class TestSinkDistanceWave:
             pass
         assert stepped.quiescent()
         assert stepped.outcome() == out
+
+
+class TestGlobalRelabeling:
+    """Deterministic counters: infeasible payments drain through epochs, feasible ones need none."""
+
+    @pytest.fixture(scope="class")
+    def drain_graph(self):
+        return generate_ba(BAConfig(n=100, m_attach=2, cap_range=(20, 100), seed=61))
+
+    # (s, r, value) with max-flow 104, 114 and 152; each min cut leaves at
+    # least half the network on the sender's side.  Before global
+    # relabeling each took about 49.6k messages and 6.1k relabels.
+    @pytest.mark.parametrize("s, r, val, max_flow", [
+        (53, 93, 143, 104), (72, 94, 134, 114), (43, 61, 160, 152),
+    ])
+    def test_drain_payment_is_cheap(self, drain_graph, s, r, val, max_flow):
+        out = run(drain_graph, s, r, val, SimConfig(seed=0))
+        assert out.delivered == max_flow
+        assert out.global_relabels >= 1
+        assert out.messages_sent < 10_000
+
+    def test_worked_example_needs_no_epoch(self, example_graph):
+        assert run(example_graph, S, R, 15, SimConfig(seed=0)).global_relabels == 0
+
+    def test_feasible_desk_scale_payment_needs_no_epoch(self):
+        g = generate_ba(BAConfig(n=1000, m_attach=2, cap_range=(20, 100), seed=61))
+        out = run(g, 913, 475, 49, SimConfig(seed=0))
+        assert out.delivered == 49
+        assert out.global_relabels == 0
+
+    def test_every_wave_message_is_counted_and_traced(self, drain_graph):
+        buf = io.StringIO()
+        out = run(drain_graph, 53, 93, 143, SimConfig(seed=0), trace=buf)
+        kinds = [line.split()[1] for line in buf.getvalue().splitlines()]
+        assert len(kinds) == out.messages_sent
+        assert "cut_off" in kinds
+        # the first wave reaches every node, and each forwards to all its
+        # channel neighbors: 2m messages; the later epochs' waves add more
+        assert out.global_relabels >= 1
+        assert kinds.count("sink_distance") > 2 * drain_graph.channel_count
+
+    def test_cut_off_region_never_regains_a_path_to_r(self):
+        # Without the refusal rule, node 30, which the epoch-2 wave missed,
+        # accepted a push from node 19, which the wave reached.  Node 29 had
+        # already taken a cut-off level over its residual channel to 30, so
+        # the path 21 -> 10 -> 29 -> 30 -> 19 -> ... -> 28 stayed open behind
+        # labels above the feeder's, and the source returned 3 units that
+        # could still have been delivered.
+        g = loads_network(CUT_OFF_RACE_NET)
+        out = run(g, 21, 28, 54, SimConfig(seed=0))
+        assert out.global_relabels >= 1
+        assert out.delivered == 15 and out.returned == 39
+
+
+# 37 nodes, some channel directions without capacity; max-flow 21 -> 28 is 15
+CUT_OFF_RACE_NET = """\
+pcn 37
+chan 0 17 7 25
+chan 0 24 24 12
+chan 0 33 0 24
+chan 1 36 20 0
+chan 2 31 12 6
+chan 3 5 9 0
+chan 3 8 0 22
+chan 3 22 0 27
+chan 3 26 0 24
+chan 4 19 0 0
+chan 4 20 8 27
+chan 4 26 1 0
+chan 5 14 29 16
+chan 6 7 0 0
+chan 6 14 0 18
+chan 6 23 17 0
+chan 7 20 14 0
+chan 7 32 13 16
+chan 7 34 0 0
+chan 8 23 0 1
+chan 8 34 30 19
+chan 9 16 5 29
+chan 9 18 9 29
+chan 9 19 0 29
+chan 10 21 10 0
+chan 10 29 22 4
+chan 11 24 0 0
+chan 11 27 6 0
+chan 11 34 0 22
+chan 12 18 0 0
+chan 12 30 11 0
+chan 13 23 0 0
+chan 14 19 6 0
+chan 14 20 13 0
+chan 17 19 19 10
+chan 17 22 0 0
+chan 17 36 10 0
+chan 18 19 1 3
+chan 19 24 0 0
+chan 19 30 23 0
+chan 20 22 0 12
+chan 21 28 15 0
+chan 21 31 16 0
+chan 22 28 0 6
+chan 25 30 0 30
+chan 26 36 0 0
+chan 28 30 0 0
+chan 28 31 6 0
+chan 29 30 17 13
+chan 29 34 0 0
+"""

@@ -105,5 +105,10 @@ class TestGenerateWorkload:
         with pytest.raises(InvalidConfig):
             generate_workload(ChannelGraph(1), WorkloadConfig(txn_count=1, seed=0))
 
+    def test_zero_values_rejected(self):
+        g = generate_ba(BAConfig(n=10, seed=0))
+        with pytest.raises(InvalidConfig, match="bad value range"):
+            generate_workload(g, WorkloadConfig(txn_count=5, val_range=(0, 4), seed=0))
+
     def test_transaction_is_value_like(self):
         assert Transaction(1, 2, 3) == Transaction(1, 2, 3)
