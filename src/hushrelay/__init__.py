@@ -8,7 +8,7 @@ sink-to-source flow reporting and scale-free benchmark tooling.
 __version__ = "0.1.0"
 
 from .graph import Channel, ChannelGraph, FlowAssignment, apply_flow
-from .oracle import OracleResult, feasible_flow_sequential, is_feasible, maxflow_augmenting
+from .oracle import OracleResult, is_feasible, maxflow_augmenting
 from .protocol import NodeState, RoutingOutcome, init_instance
 from .sim import LatencyModel, SimConfig, Simulator, run
 from .decompose import decompose, cancel_cycles
@@ -28,7 +28,6 @@ __all__ = [
     "FlowAssignment",
     "apply_flow",
     "OracleResult",
-    "feasible_flow_sequential",
     "is_feasible",
     "maxflow_augmenting",
     "NodeState",

@@ -85,11 +85,10 @@ class TxnResult:
 class ExperimentReport:
     rows: list[TxnResult]
     with_wallclock: bool = False
-    aggregate: dict = field(default_factory=dict)
+    aggregate: dict = field(init=False)
 
     def __post_init__(self):
-        if not self.aggregate:
-            self.aggregate = self._aggregate()
+        self.aggregate = self._aggregate()
 
     def _aggregate(self) -> dict:
         done = [r for r in self.rows if not r.error]

@@ -14,6 +14,9 @@ import os
 from .graph import ChannelGraph
 from .topology import Transaction
 
+# ChannelGraph(n) allocates per-node state up front, so the header is bounded
+MAX_NODES = 1 << 20
+
 
 class ParseError(Exception):
     """Malformed input; carries the 1-based line number."""
@@ -45,8 +48,8 @@ def loads_network(text: str) -> ChannelGraph:
             if len(fields) != 2 or fields[0] != "pcn":
                 raise ParseError(line_no, f"expected 'pcn <n>' header, got {line!r}")
             n = _int_field(line_no, fields[1], "node count")
-            if n < 0:
-                raise ParseError(line_no, f"node count must be >= 0, got {n}")
+            if not 0 <= n <= MAX_NODES:
+                raise ParseError(line_no, f"node count must be in 0..{MAX_NODES}, got {n}")
             g = ChannelGraph(n)
             continue
         if fields[0] != "chan":

@@ -79,6 +79,7 @@ class PushRequest:
 
 @dataclass(slots=True)
 class Accept:
+    sender: NodeId  # the responder
     request_id: int
     amount: Funds
     responder_label: int
@@ -86,6 +87,7 @@ class Accept:
 
 @dataclass(slots=True)
 class Nak:
+    sender: NodeId  # the responder
     request_id: int
     amount: Funds
     responder_label: int
@@ -122,7 +124,9 @@ class NodeState:
     id: NodeId
     label: int = 0
     excess: Funds = 0
-    # local ledger f(v, w) per neighbor, and static directed capacities
+    # local ledger f(v, w) per neighbor, and static directed capacities;
+    # the ledger's key order (sorted channel neighbors, then the virtual
+    # peer) is the order in which pushes are offered
     edge_flow: dict[NodeId, Funds] = field(default_factory=dict)
     cap: dict[NodeId, Funds] = field(default_factory=dict)
     neighbor_labels: dict[NodeId, int] = field(default_factory=dict)
@@ -131,7 +135,6 @@ class NodeState:
     busy: set[NodeId] = field(default_factory=set)
     # sorted real channel neighbors; virtual peer excluded from broadcasts
     channel_neighbors: list[NodeId] = field(default_factory=list)
-    scan_order: list[NodeId] = field(default_factory=list)
     relabel_count: int = 0
     next_request: int = 0
     wake_scheduled: bool = False
@@ -144,7 +147,8 @@ class NodeState:
     # is reached
     heard: list[NodeId] | tuple = ()
     heard_epoch: int = 0
-    # a virtual endpoint: accepts pushes, never originates one
+    # accepts pushes, never originates one: a virtual endpoint, or s until
+    # the first SinkDistance wave reaches it or dies out
     passive: bool = False
     # real nodes in the network: under valid labels, a node labeled above n
     # cannot reach r
@@ -163,7 +167,6 @@ class RoutingOutcome:
     messages_sent: int
     relabels: int
     simulated_time: int
-    terminated: bool
     # epochs started after the first, each by a fresh SinkDistance wave
     global_relabels: int = 0
 
@@ -198,7 +201,6 @@ def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> dict[Nod
             cap=cap,
             neighbor_labels=dict.fromkeys(nbrs, 0),
             channel_neighbors=nbrs,
-            scan_order=nbrs,
             n=g.n,
         )
         states[v] = st
@@ -207,12 +209,10 @@ def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> dict[Nod
     src.cap[sp] = 0
     src.edge_flow[sp] = -val
     src.neighbor_labels[sp] = g.n + 2
-    src.scan_order = src.channel_neighbors + [sp]
     src.excess = val
     snk.cap[rp] = val
     snk.edge_flow[rp] = 0
     snk.neighbor_labels[rp] = 0
-    snk.scan_order = snk.channel_neighbors + [rp]
 
     states[sp] = NodeState(
         id=sp,
@@ -269,7 +269,7 @@ def on_activate(v: NodeState) -> Sequence[Outbound]:
     cap = v.cap
     busy = v.busy
     vid = v.id
-    for w in v.scan_order:
+    for w in flow:
         if cache[w] >= label or w in busy:
             continue
         res = cap[w] - flow[w]
@@ -321,8 +321,8 @@ def on_push_request(v: NodeState, m: PushRequest) -> Sequence[Outbound]:
     elif label < m.sender_label:
         flow[sender] = current - amount
         v.excess += amount
-        return ((sender, Accept(m.request_id, amount, label)),)
-    return ((sender, Nak(m.request_id, amount, label)),)
+        return ((sender, Accept(v.id, m.request_id, amount, label)),)
+    return ((sender, Nak(v.id, m.request_id, amount, label)),)
 
 
 def on_reply(v: NodeState, m: Accept | Nak) -> Sequence[Outbound]:
@@ -451,7 +451,6 @@ def extract_outcome(
     *,
     messages_sent: int,
     simulated_time: int,
-    terminated: bool = True,
     global_relabels: int = 0,
 ) -> RoutingOutcome:
     """Assemble the routing outcome from quiescent node states.
@@ -464,8 +463,6 @@ def extract_outcome(
     is the pipeline's one cycle-cancel pass: decomposition and the flow
     report take the acyclic flow as given and reject circulation.
     """
-    if not terminated:
-        raise NotTerminated("instance has not reached quiescence")
     sp, rp = g.n, g.n + 1
     for v, st in states.items():
         if st.pending:
@@ -497,6 +494,5 @@ def extract_outcome(
         messages_sent=messages_sent,
         relabels=relabels,
         simulated_time=simulated_time,
-        terminated=terminated,
         global_relabels=global_relabels,
     )

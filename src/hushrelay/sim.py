@@ -4,8 +4,9 @@ Events are delivered in (time, insertion-sequence) order, so identical
 inputs and configuration replay bit-identically.  Message latency comes
 from a seeded latency model; node activations are local continuations and
 run at the current timestamp.  Each run starts with the sink's
-SinkDistance wave; the source holds its excess until the wave reaches it,
-or until the wave dies out if no residual path to the sink exists.
+SinkDistance wave; the source waits as a passive node until the wave
+reaches it, or until the wave dies out if no residual path to the sink
+exists.
 
 Global relabeling: the dispatcher counts the wave messages in flight, so it
 sees for free when a wave dies out (a deployment would pay one echo per
@@ -33,7 +34,9 @@ from .protocol import (
     Accept,
     CutOff,
     LabelUpdate,
+    Message,
     Nak,
+    Outbound,
     PushRequest,
     RoutingOutcome,
     SinkDistance,
@@ -53,9 +56,8 @@ class EventBudgetExhausted(Exception):
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Per-message delay: constant, or uniform integer draws from a seeded RNG."""
+    """Per-message delay: constant when lo == hi, else uniform integer draws from a seeded RNG."""
 
-    kind: str
     lo: int
     hi: int
 
@@ -63,13 +65,13 @@ class LatencyModel:
     def constant(d: int) -> "LatencyModel":
         if d <= 0:
             raise ValueError("delay must be > 0")
-        return LatencyModel("constant", d, d)
+        return LatencyModel(d, d)
 
     @staticmethod
     def uniform(lo: int, hi: int) -> "LatencyModel":
         if lo <= 0 or hi < lo:
             raise ValueError("need 0 < lo <= hi")
-        return LatencyModel("uniform", lo, hi)
+        return LatencyModel(lo, hi)
 
     @staticmethod
     def parse(spec: str) -> "LatencyModel":
@@ -85,7 +87,7 @@ class LatencyModel:
         raise ValueError(f"bad latency spec {spec!r}; use const:<d> or uniform:<lo>:<hi>")
 
     def sample(self, rng: random.Random) -> int:
-        if self.kind == "constant":
+        if self.lo == self.hi:
             return self.lo
         return rng.randint(self.lo, self.hi)
 
@@ -127,105 +129,92 @@ class Simulator:
         self.source, self.sink, self.value = s, r, val
         self._sp, self._rp = g.n, g.n + 1
         self.states = protocol.init_instance(g, s, r, val)
+        # s waits until the first wave reaches it or dies out (see _dispatch)
+        self.states[s].passive = True
         self._rng = random.Random(self.cfg.seed)
         self._trace = trace
-        self.now = 0
         self.simulated_time = 0
-        self.messages_sent = 0
         self.messages_delivered = 0
         self.events_dispatched = 0
-        self._seq = 0
-        # heap entries: (time, seq, to, sender, message).  Node activations
-        # are same-timestamp continuations and always order after the
+        # heap entries: (time, seq, to, message).  Node activations are
+        # same-timestamp continuations and always order after the
         # timestamp's message deliveries, so they live in a plain FIFO.
-        self._queue: list[tuple[int, int, int, int, object]] = []
+        self._queue: list[tuple[int, int, NodeId, Message]] = []
         self._wakes: deque[int] = deque()
         self._states_by_id = [self.states[v] for v in range(g.n + 2)]
-        latency = self.cfg.latency
-        self._const_delay = latency.lo if latency.kind == "constant" else None
         self.max_events = (
             self.cfg.max_events
             if self.cfg.max_events is not None
             else 50 * (g.n + 2) ** 2 * (g.channel_count + 2)
         )
-        # s starts pushing once the wave from r reaches it (see _dispatch)
-        self._source_held = True
         self.epoch = 0
-        self._relabels_since = 0
-        self._waves = 0  # wave messages in flight
-        self._cut_off_running = False
-        self._start_epoch(0)
+        self._relabels = 0
+        wave = self._start_epoch(0)
+        for seq, (dest, m) in enumerate(wave, 1):
+            heappush(self._queue, (self.cfg.latency.sample(self._rng), seq, dest, m))
+        # _waves: wave messages in flight
+        self._seq = self.messages_sent = self._waves = len(wave)
 
     # -- global relabeling -------------------------------------------------
 
-    def _send_wave(self, frm: NodeId, out, now: int) -> None:
-        latency, rng = self.cfg.latency, self._rng
-        for dest, m in out:
-            self._seq += 1
-            heappush(self._queue, (now + latency.sample(rng), self._seq, dest, frm, m))
-        self.messages_sent += len(out)
-        self._waves += len(out)
+    def _start_epoch(self, relabels: int) -> list[Outbound]:
+        """r starts the next epoch's SinkDistance wave; returns the wave's messages.
 
-    def _start_epoch(self, now: int) -> None:
-        """r starts the next epoch's SinkDistance wave."""
+        `relabels` counts every relabel so far; the epoch after this one is
+        due 2n relabels later.
+        """
         self.epoch += 1
-        self._relabels_since = 0
+        self._epoch_due = relabels + 2 * self.graph.n
         sink = self.states[self.sink]
         sink.reached = self.epoch
         wave = SinkDistance(self.sink, 0, self.epoch)
-        self._send_wave(self.sink, [(w, wave) for w in sink.channel_neighbors], now)
-        if not self._waves:
-            self._wave_died(now)
+        return [(w, wave) for w in sink.channel_neighbors] or self._wave_died(SinkDistance, relabels)
 
-    def _wave_died(self, now: int) -> None:
-        """The last message of the running wave was delivered and spawned none."""
-        if not self._cut_off_running:
-            # the SinkDistance wave is gone: release s if it never arrived,
-            # and let s start the CutOff wave as if the feeder sent it
-            held, self._source_held = self._source_held, False
+    def _wave_died(self, kind: type, relabels: int) -> list[Outbound]:
+        """The last message of the running wave, of message type `kind`, spawned none.
+
+        Returns the next wave's messages: the epoch's CutOff wave after its
+        SinkDistance wave, or the next epoch's SinkDistance wave once due.
+        """
+        if kind is SinkDistance:
+            # release s if the wave never arrived, and let s start the
+            # CutOff wave as if the feeder sent it
             src = self.states[self.source]
+            waiting, src.passive = src.passive, False
             label = src.label
             out = protocol.on_cut_off(src, CutOff(self._sp, self.graph.n + 2, self.epoch))
-            if (held or src.label != label) and src.excess > 0 and not src.wake_scheduled:
+            if (waiting or src.label != label) and src.excess > 0 and not src.wake_scheduled:
                 src.wake_scheduled = True
                 self._wakes.append(self.source)
-            self._send_wave(self.source, out, now)
-            if self._waves:
-                self._cut_off_running = True
-                return
-        self._cut_off_running = False
-        if self._relabels_since >= 2 * self.graph.n:
-            self._start_epoch(now)
-
-    def _between(self, step, now: int, seq: int, held: bool, waves: int, relabels: int):
-        """Run a wave step from inside _dispatch, which keeps this state in locals."""
-        self._seq, self._source_held, self._waves, self._relabels_since = seq, held, waves, relabels
-        step(now)
-        return self._seq, self._source_held, self._waves, self._relabels_since
+            if out:
+                return out
+        if relabels >= self._epoch_due:
+            return self._start_epoch(relabels)
+        return []
 
     # -- dispatch --------------------------------------------------------
 
     def _dispatch(self, limit: int) -> int:
         """Deliver up to `limit` events; returns the number delivered.
 
-        The one and only dispatch loop; run() and step() both use it.  Local
-        bindings matter here: this loop runs millions of times per routing
-        on drain-heavy instances.  Per timestamp, message deliveries run in
-        scheduling order first, then node activations in FIFO order, which
-        is exactly the (time, sequence) order a single queue would give.
+        The one and only dispatch loop; run() and step() both use it, and
+        once a run has started it is the only code that sends a message.
+        Local bindings matter here: this loop runs millions of times per
+        routing on drain-heavy instances.  Per timestamp, message deliveries
+        run in scheduling order first, then node activations in FIFO order,
+        which is exactly the (time, sequence) order a single queue would give.
         """
         queue = self._queue
         wakes = self._wakes
         states = self._states_by_id
         seq = self._seq
-        const_delay = self._const_delay
-        rng_draw = self._rng.randint
         lat_lo, lat_hi = self.cfg.latency.lo, self.cfg.latency.hi
+        const_delay = lat_lo if lat_lo == lat_hi else None
+        rng_draw = self._rng.randint
         check = self.cfg.check_invariants
         trace = self._trace
         n = self.graph.n
         bound = 2 * (n + 2)
-        trigger = 2 * n
         on_activate = protocol.on_activate
         on_push_request = protocol.on_push_request
         on_label_update = protocol.on_label_update
@@ -233,14 +222,12 @@ class Simulator:
         on_sink_distance = protocol.on_sink_distance
         on_cut_off = protocol.on_cut_off
         source = self.source
-        held = self._source_held
         waves = self._waves
-        relabels = self._relabels_since
+        relabels = self._relabels
         done = 0
         sent = 0
         delivered = 0
-        now = self.now
-        last_delivery = self.simulated_time
+        now = self.simulated_time
         while done < limit:
             if wakes and not (queue and queue[0][0] == now):
                 # trailing activations of the current timestamp
@@ -259,19 +246,18 @@ class Simulator:
                         st.wake_scheduled = True
                         wakes.append(to)
                     relabels += 1
-                    if relabels >= trigger and not waves:
-                        seq, held, waves, relabels = self._between(
-                            self._start_epoch, now, seq, held, waves, relabels
-                        )
+                    if not waves and relabels >= self._epoch_due:
+                        # the new epoch's wave goes out before this activation's messages
+                        wave = self._start_epoch(relabels)
+                        waves = len(wave)
+                        out = [*wave, *out]
             elif queue:
                 done += 1
-                t, _, to, frm, msg = heappop(queue)
-                now = t
-                last_delivery = t
+                now, _, to, msg = heappop(queue)
                 delivered += 1
                 st = states[to]
                 if trace is not None:
-                    self._trace_line(t, frm, to, msg)
+                    self._trace_line(now, to, msg)
                 kind = type(msg)
                 # the SinkDistance wave first: on feasible payments it is nearly all
                 if kind is SinkDistance:
@@ -279,13 +265,12 @@ class Simulator:
                     if out:
                         waves += len(out) - 1
                         if to == source:
-                            held = False  # the first wave reached s
+                            st.passive = False  # the first wave reached s
                     else:
                         waves -= 1
                         if not waves:
-                            seq, held, waves, relabels = self._between(
-                                self._wave_died, now, seq, held, waves, relabels
-                            )
+                            out = self._wave_died(kind, relabels)
+                            waves = len(out)
                 elif kind is PushRequest:
                     out = on_push_request(st, msg)
                 elif kind is LabelUpdate:
@@ -295,18 +280,12 @@ class Simulator:
                     out = on_cut_off(st, msg)
                     waves += len(out) - 1
                     if not waves:
-                        seq, held, waves, relabels = self._between(
-                            self._wave_died, now, seq, held, waves, relabels
-                        )
+                        out = self._wave_died(kind, relabels)
+                        waves = len(out)
                 else:
                     on_reply(st, msg)
                     out = ()
-                if (
-                    st.excess > 0
-                    and not st.passive
-                    and not st.wake_scheduled
-                    and not (held and to == source)
-                ):
+                if st.excess > 0 and not st.passive and not st.wake_scheduled:
                     st.wake_scheduled = True
                     wakes.append(to)
             else:
@@ -314,15 +293,13 @@ class Simulator:
             for dest, m in out:
                 seq += 1
                 delay = const_delay if const_delay is not None else rng_draw(lat_lo, lat_hi)
-                heappush(queue, (now + delay, seq, dest, to, m))
+                heappush(queue, (now + delay, seq, dest, m))
                 sent += 1
             if check:
                 protocol.check_node_invariants(st, n)
-        self._source_held = held
         self._waves = waves
-        self._relabels_since = relabels
-        self.now = now
-        self.simulated_time = last_delivery
+        self._relabels = relabels
+        self.simulated_time = now
         self._seq = seq
         self.events_dispatched += done
         self.messages_sent += sent
@@ -333,7 +310,8 @@ class Simulator:
         """Deliver one event; False when the queue is empty."""
         return self._dispatch(1) == 1
 
-    def _trace_line(self, t: int, frm: NodeId, to: NodeId, msg: object) -> None:
+    def _trace_line(self, t: int, to: NodeId, msg: Message) -> None:
+        frm = msg.sender
         amount = getattr(msg, "amount", 0)
         self._trace.write(
             f"t={t} {_EVENT_NAMES[type(msg)]} {frm} {to} δ={amount} "
@@ -351,7 +329,7 @@ class Simulator:
                 return False
         return True
 
-    def outcome(self, terminated: bool = True) -> RoutingOutcome:
+    def outcome(self) -> RoutingOutcome:
         return protocol.extract_outcome(
             self.states,
             self.graph,
@@ -360,14 +338,13 @@ class Simulator:
             self.value,
             messages_sent=self.messages_sent,
             simulated_time=self.simulated_time,
-            terminated=terminated,
             global_relabels=self.epoch - 1,
         )
 
     def run(self) -> RoutingOutcome:
         """Dispatch events until quiescence; raise EventBudgetExhausted on a hang."""
         self._dispatch(self.max_events + 1 - self.events_dispatched)
-        if self._queue or self._wakes or self._source_held:
+        if self._queue or self._wakes:
             raise EventBudgetExhausted(self)
         if not self.quiescent():
             raise protocol.NotTerminated("queue drained but instance is not quiescent")

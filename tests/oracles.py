@@ -1,0 +1,100 @@
+"""Test-only flow oracles: a second max-flow route and the min-cut certificate check."""
+
+from __future__ import annotations
+
+from collections import deque
+
+from hushrelay.graph import ChannelGraph, FlowAssignment, Funds, NodeId
+
+
+def feasible_flow_sequential(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> FlowAssignment:
+    """Route up to val units s->r with a sequential FIFO push-relabel.
+
+    Dummy endpoints cap the routed amount: a virtual source feeds s exactly
+    val and a virtual sink absorbs at most val from r.  The virtual source
+    starts at label n+2, everything else at 0, matching the distributed
+    variant.  Delivers min(val, maxflow); the remainder drains back to the
+    virtual source.  Returns a flow over the real edges only.
+    """
+    if val < 0:
+        raise ValueError("value must be >= 0")
+    n = g.n
+    sp, rp = n, n + 1  # virtual source / virtual sink
+    adj: list[list[int]] = [g.neighbors(v) for v in range(n)] + [[s], [r]]
+    adj[s] = adj[s] + [sp]
+    adj[r] = adj[r] + [rp]
+    cap: dict[tuple[int, int], int] = {}
+    for ch in g.channels():
+        cap[(ch.u, ch.v)] = ch.cap_forward
+        cap[(ch.v, ch.u)] = ch.cap_backward
+    cap[(sp, s)] = val
+    cap[(r, rp)] = val
+
+    flow: dict[tuple[int, int], int] = {}
+    label = [0] * (n + 2)
+    label[sp] = n + 2
+    excess = [0] * (n + 2)
+    if val == 0:
+        return FlowAssignment(s, r)
+    flow[(sp, s)] = val
+    flow[(s, sp)] = -val
+    excess[s] = val
+
+    active = deque([s])
+    queued = [False] * (n + 2)
+    queued[s] = True
+    while active:
+        v = active.popleft()
+        queued[v] = False
+        while excess[v] > 0:
+            pushed = False
+            for w in adj[v]:
+                if label[w] >= label[v]:
+                    continue
+                res = cap.get((v, w), 0) - flow.get((v, w), 0)
+                if res <= 0:
+                    continue
+                delta = min(excess[v], res)
+                flow[(v, w)] = flow.get((v, w), 0) + delta
+                flow[(w, v)] = flow.get((w, v), 0) - delta
+                excess[v] -= delta
+                excess[w] += delta
+                pushed = True
+                if w not in (sp, rp) and not queued[w]:
+                    active.append(w)
+                    queued[w] = True
+                if excess[v] == 0:
+                    break
+            if excess[v] == 0:
+                break
+            if not pushed:
+                # relabel to one above the lowest residual neighbor, then
+                # yield the discharge slot (FIFO)
+                label[v] = 1 + min(
+                    label[w]
+                    for w in adj[v]
+                    if cap.get((v, w), 0) - flow.get((v, w), 0) > 0
+                )
+                if not queued[v]:
+                    active.append(v)
+                    queued[v] = True
+                break
+
+    fa = FlowAssignment(s, r)
+    for (v, w), a in flow.items():
+        if a > 0 and v < n and w < n:
+            fa.add(v, w, a)
+    return fa
+
+
+def residual_reachable(g: ChannelGraph, flow: FlowAssignment, s: NodeId) -> set[NodeId]:
+    """Nodes reachable from s along residual edges; the min-cut certificate check."""
+    seen = {s}
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        for w in g.neighbors(v):
+            if w not in seen and g.capacity(v, w) - flow.get(v, w) > 0:
+                seen.add(w)
+                queue.append(w)
+    return seen

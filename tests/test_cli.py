@@ -2,7 +2,7 @@ import pytest
 
 from hushrelay.cli import main
 from hushrelay.graph import ChannelGraph
-from hushrelay.netfile import save_network
+from hushrelay.netfile import MAX_NODES, save_network
 
 from .conftest import five_node_graph
 
@@ -57,6 +57,11 @@ class TestRoute:
         bad = tmp_path / "bad.pcn"
         bad.write_text("pcn 2\nchan 0 1 oops 0\n")
         assert main(["route", "--network", str(bad), "--source", "0", "--sink", "1", "--amount", "5"]) == 3
+
+    def test_oversized_network_is_io_error(self, tmp_path):
+        big = tmp_path / "big.pcn"
+        big.write_text(f"pcn {MAX_NODES + 1}\n")
+        assert main(["route", "--network", str(big), "--source", "0", "--sink", "1", "--amount", "5"]) == 3
 
     def test_trace_deterministic(self, example_file, tmp_path):
         traces = []

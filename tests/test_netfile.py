@@ -1,6 +1,7 @@
 import pytest
 
 from hushrelay.netfile import (
+    MAX_NODES,
     ParseError,
     dumps_network,
     dumps_workload,
@@ -80,6 +81,13 @@ def test_duplicate_channel_reports_line():
 def test_out_of_range_node_rejected():
     with pytest.raises(ParseError):
         loads_network("pcn 2\nchan 0 5 1 1\n")
+
+
+@pytest.mark.parametrize("n", [-1, MAX_NODES + 1, 99999999999])
+def test_node_count_outside_bound_rejected_on_header_line(n):
+    # rejected before any per-node state is allocated
+    with pytest.raises(ParseError, match=f"line 2: node count must be in 0..{MAX_NODES}, got {n}$"):
+        loads_network(f"# too many\npcn {n}\nchan 0 1 5 5\n")
 
 
 def test_empty_file_rejected():

@@ -3,15 +3,11 @@ import random
 import pytest
 
 from hushrelay.graph import ChannelGraph
-from hushrelay.oracle import (
-    feasible_flow_sequential,
-    is_feasible,
-    maxflow_augmenting,
-    residual_reachable,
-)
+from hushrelay.oracle import is_feasible, maxflow_augmenting
 from hushrelay.topology import BAConfig, generate_ba
 
 from .conftest import A, B, C, R, S
+from .oracles import feasible_flow_sequential, residual_reachable
 
 
 class TestMaxflowAugmenting:

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from hushrelay.decompose import cancel_cycles, decompose
 from hushrelay.graph import apply_flow
 from hushrelay.netfile import dumps_network, loads_network
-from hushrelay.oracle import feasible_flow_sequential, maxflow_augmenting
+from hushrelay.oracle import maxflow_augmenting
 from hushrelay.protocol import check_node_invariants
 from hushrelay.sim import LatencyModel, SimConfig, Simulator
 from hushrelay.topology import BAConfig, generate_ba
 
 from .conftest import reversed_flow
+from .oracles import feasible_flow_sequential
 
 
 ba_configs = st.builds(

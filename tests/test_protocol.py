@@ -161,7 +161,7 @@ class TestOnReply:
     def test_nak_rolls_back_exactly(self, example_graph):
         st, rids = self._pushed_source(example_graph)
         before = (st.excess, st.edge_flow[B])
-        on_reply(st, Nak(rids[1], 5, 1))
+        on_reply(st, Nak(B, rids[1], 5, 1))
         assert st.excess == before[0] + 5
         assert st.edge_flow[B] == before[1] - 5
         assert rids[1] not in st.pending
@@ -169,20 +169,20 @@ class TestOnReply:
     def test_accept_commits_without_ledger_change(self, example_graph):
         st, rids = self._pushed_source(example_graph)
         flow_a = st.edge_flow[A]
-        on_reply(st, Accept(rids[0], 10, 0))
+        on_reply(st, Accept(A, rids[0], 10, 0))
         assert st.edge_flow[A] == flow_a
         assert rids[0] not in st.pending
         assert A not in st.busy
 
     def test_nak_updates_label_cache(self, example_graph):
         st, rids = self._pushed_source(example_graph)
-        on_reply(st, Nak(rids[0], 10, 3))
+        on_reply(st, Nak(A, rids[0], 10, 3))
         assert st.neighbor_labels[A] == 3
 
     def test_unknown_request_id_is_fatal(self, example_graph):
         states = init_instance(example_graph, S, R, 15)
         with pytest.raises(UnknownRequestId):
-            on_reply(states[S], Accept(424242, 1, 0))
+            on_reply(states[S], Accept(A, 424242, 1, 0))
 
 
 class TestRelabel:
@@ -313,7 +313,7 @@ class TestRefusal:
         st = states[A]
         on_sink_distance(st, SinkDistance(S, 3, 2))
         out = on_push_request(st, PushRequest(S, 0, 5, 4))
-        assert out == ((S, Nak(0, 5, 4)),)  # reports the sender's label, so it stops offering
+        assert out == ((S, Nak(A, 0, 5, 4)),)  # reports the sender's label, so it stops offering
         assert st.label == 0 and st.excess == 0 and st.edge_flow[S] == 0
 
     def test_sender_above_n_is_not_refused(self, example_graph):
@@ -322,7 +322,7 @@ class TestRefusal:
         st = states[A]
         on_sink_distance(st, SinkDistance(S, 3, 2))
         out = on_push_request(st, PushRequest(S, 0, 5, 6))
-        assert out == ((S, Accept(0, 5, 0)),)
+        assert out == ((S, Accept(A, 0, 5, 0)),)
 
     def test_reached_node_accepts_again(self, example_graph):
         states = init_instance(example_graph, S, R, 15)
@@ -330,7 +330,7 @@ class TestRefusal:
         on_sink_distance(st, SinkDistance(S, 3, 2))
         on_sink_distance(st, SinkDistance(C, 1, 2))
         out = on_push_request(st, PushRequest(S, 0, 5, 4))
-        assert out == ((S, Accept(0, 5, 2)),)
+        assert out == ((S, Accept(A, 0, 5, 2)),)
 
 
 class TestOnCutOff:
@@ -390,7 +390,6 @@ class TestExtractOutcome:
         out = run(example_graph, S, R, 15, SimConfig(seed=1))
         assert out.delivered == 15
         assert out.returned == 0
-        assert out.terminated
         assert out.flow.value == 15
         assert out.delivered + out.returned == 15
 
@@ -410,6 +409,7 @@ class TestExtractOutcome:
 
     def test_not_terminated_rejected(self, example_graph):
         sim = Simulator(example_graph, S, R, 15, SimConfig(seed=1))
-        sim.step()  # partially run
+        while not any(st.pending for st in sim.states.values()):
+            assert sim.step()
         with pytest.raises(protocol.NotTerminated):
-            sim.outcome(terminated=False)
+            sim.outcome()
