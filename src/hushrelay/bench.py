@@ -196,10 +196,14 @@ def run_txn(
     started = time.perf_counter()
     try:
         outcome = Simulator(g, txn.s, txn.r, txn.val, cfg).run()
-    except EventBudgetExhausted:
+    except EventBudgetExhausted as exc:
+        # the counters so far; the virtual sink n+1 holds what was delivered
+        sim = exc.sim
         return TxnResult(
             txn_id, txn.s, txn.r, txn.val, feasible,
-            0, False, 0, time.perf_counter() - started, 0, 0,
+            sim.states[g.n + 1].excess, False, sim.simulated_time,
+            time.perf_counter() - started, sim.messages_sent,
+            sum(st.relabel_count for st in sim.states.values()),
             error="event_budget_exhausted",
         )
     elapsed = time.perf_counter() - started

@@ -222,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a scale-free channel network file")
-    gen.add_argument("--model", choices=["ba"], default="ba")
     gen.add_argument("--nodes", type=int, required=True)
     gen.add_argument("--attach", type=int, default=2, help="edges per new node")
     gen.add_argument("--cap-min", type=int, default=20)

@@ -113,12 +113,6 @@ class ChannelGraph:
     def total_escrow(self) -> Funds:
         return sum(ch.total for ch in self._channels.values())
 
-    def copy(self) -> "ChannelGraph":
-        g = ChannelGraph(self.n)
-        for ch in self._channels.values():
-            g.open_channel(ch.u, ch.v, ch.cap_forward, ch.cap_backward)
-        return g
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChannelGraph):
             return NotImplemented

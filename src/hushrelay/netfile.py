@@ -115,8 +115,3 @@ def dumps_workload(txns: list[Transaction]) -> str:
 def load_workload(path: str | os.PathLike, n: int) -> list[Transaction]:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_workload(fh.read(), n)
-
-
-def save_workload(txns: list[Transaction], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_workload(txns))

@@ -67,6 +67,4 @@ def maxflow_augmenting(
 
 def is_feasible(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> bool:
     """True iff val units can be routed from s to r."""
-    if val == 0:
-        return True
     return maxflow_augmenting(g, s, r, stop_at=val).max_value >= val

@@ -130,9 +130,8 @@ class NodeState:
     edge_flow: dict[NodeId, Funds] = field(default_factory=dict)
     cap: dict[NodeId, Funds] = field(default_factory=dict)
     neighbor_labels: dict[NodeId, int] = field(default_factory=dict)
-    # request id -> (neighbor, amount); one in-flight push per directed edge
-    pending: dict[int, tuple[NodeId, Funds]] = field(default_factory=dict)
-    busy: set[NodeId] = field(default_factory=set)
+    # neighbor -> (request id, amount) of the one push in flight to it
+    pending: dict[NodeId, tuple[int, Funds]] = field(default_factory=dict)
     # sorted real channel neighbors; virtual peer excluded from broadcasts
     channel_neighbors: list[NodeId] = field(default_factory=list)
     relabel_count: int = 0
@@ -256,8 +255,8 @@ def on_activate(v: NodeState) -> Sequence[Outbound]:
     """Push excess to eligible neighbors; relabel when none remain.
 
     Eligible: positive residual, cached label below ours, no push already in
-    flight on that edge.  With pushes in flight we neither relabel nor touch
-    busy edges; the replies re-activate us.
+    flight on that edge.  With pushes in flight we do not relabel; the
+    replies re-activate us.
     """
     excess = v.excess
     if excess <= 0 or v.passive:
@@ -267,10 +266,10 @@ def on_activate(v: NodeState) -> Sequence[Outbound]:
     cache = v.neighbor_labels
     flow = v.edge_flow
     cap = v.cap
-    busy = v.busy
+    pending = v.pending
     vid = v.id
     for w in flow:
-        if cache[w] >= label or w in busy:
+        if cache[w] >= label or w in pending:
             continue
         res = cap[w] - flow[w]
         if res <= 0:
@@ -281,13 +280,12 @@ def on_activate(v: NodeState) -> Sequence[Outbound]:
         # ids only need to be unique per sender: replies return to it
         rid = v.next_request
         v.next_request += 1
-        v.pending[rid] = (w, delta)
-        busy.add(w)
+        pending[w] = (rid, delta)
         out.append((w, PushRequest(vid, rid, delta, label)))
         if excess == 0:
             break
     v.excess = excess
-    if excess > 0 and not v.pending:
+    if excess > 0 and not pending:
         update = relabel(v)
         for w in v.channel_neighbors:
             out.append((w, update))
@@ -326,15 +324,17 @@ def on_push_request(v: NodeState, m: PushRequest) -> Sequence[Outbound]:
 
 
 def on_reply(v: NodeState, m: Accept | Nak) -> Sequence[Outbound]:
-    """Settle an in-flight push: commit on Accept, roll back exactly on Nak."""
-    try:
-        w, delta = v.pending.pop(m.request_id)
-    except KeyError:
-        raise UnknownRequestId(f"node {v.id} got a reply for unknown request {m.request_id}") from None
-    v.busy.discard(w)
+    """Settle the one push in flight to the responder: commit on Accept, roll back exactly on Nak.
+
+    A reply that does not name that push's request id and amount (a stale
+    duplicate, a forgery, one from a node we pushed nothing to) is fatal.
+    """
+    w = m.sender
+    if v.pending.pop(w, None) != (m.request_id, m.amount):
+        raise UnknownRequestId(f"node {v.id} has no push {m.request_id} of {m.amount} to {w} in flight")
     if type(m) is Nak:
-        v.edge_flow[w] -= delta
-        v.excess += delta
+        v.edge_flow[w] -= m.amount
+        v.excess += m.amount
     cache = v.neighbor_labels
     if m.responder_label > cache[w]:
         cache[w] = m.responder_label
@@ -353,12 +353,8 @@ def on_label_update(v: NodeState, m: LabelUpdate) -> None:
 
 def _has_residual(v: NodeState, w: NodeId) -> bool:
     """True iff we have residual capacity toward w once our in-flight push to w is rolled back."""
-    res = v.cap[w] - v.edge_flow[w]
-    if res <= 0 and w in v.busy:
-        for nbr, delta in v.pending.values():
-            if nbr == w:
-                return res + delta > 0
-    return res > 0
+    pushed = v.pending.get(w)
+    return v.cap[w] - v.edge_flow[w] + (pushed[1] if pushed else 0) > 0
 
 
 def on_sink_distance(v: NodeState, m: SinkDistance) -> Sequence[Outbound]:

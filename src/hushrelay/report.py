@@ -214,7 +214,6 @@ def _sink_first(
 
 def run_report(
     flow: FlowAssignment,
-    k_sink: bytes | None = None,
     rng: Random | None = None,
     cipher=DEFAULT_CIPHER,
 ) -> ReportRun:
@@ -233,8 +232,7 @@ def run_report(
     for (u, v), a in pos.items():
         if max(u, v, a) >= _FACT_LIMIT:
             raise FactOverflow(f"flow {a} on edge ({u}, {v}) does not fit a 64-bit report fact")
-    if k_sink is None:
-        k_sink = _rand_bytes(rng, KEY_LEN)
+    k_sink = _rand_bytes(rng, KEY_LEN)
     edge_keys = {edge: _rand_bytes(rng, KEY_LEN) for edge in sorted(pos)}
     if not pos:
         return ReportRun([], k_sink, [], 0, edge_keys)

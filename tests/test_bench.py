@@ -1,11 +1,13 @@
+import functools
 import io
 import random
 
 import pytest
 
+from hushrelay import bench
 from hushrelay.bench import CSV_COLUMNS, ExperimentReport, TxnResult, run_bench, run_txn, txn_seed
 from hushrelay.oracle import is_feasible
-from hushrelay.sim import LatencyModel
+from hushrelay.sim import LatencyModel, SimConfig
 from hushrelay.topology import BAConfig, Transaction, WorkloadConfig, generate_ba, generate_workload
 
 
@@ -42,6 +44,15 @@ class TestRunTxn:
             run_txn(g, i, t, 0, LatencyModel.constant(1))
         after = {ch.id: (ch.cap_forward, ch.cap_backward) for ch in g.channels()}
         assert after == before
+
+    def test_budget_exhausted_row_keeps_partial_counters(self, monkeypatch, example_graph):
+        # 27 events: the whole 15 has reached the virtual sink, but its
+        # Accept is still in flight (the full run takes 29 events)
+        monkeypatch.setattr(bench, "SimConfig", functools.partial(SimConfig, max_events=27))
+        row = run_txn(example_graph, 0, Transaction(0, 4, 15), 0, LatencyModel.constant(1))
+        assert row.error == "event_budget_exhausted"
+        assert not row.success
+        assert (row.delivered, row.messages, row.simulated_ttr, row.relabels) == (15, 23, 7, 1)
 
 
 class TestRunBench:

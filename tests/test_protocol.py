@@ -164,15 +164,15 @@ class TestOnReply:
         on_reply(st, Nak(B, rids[1], 5, 1))
         assert st.excess == before[0] + 5
         assert st.edge_flow[B] == before[1] - 5
-        assert rids[1] not in st.pending
+        assert B not in st.pending
 
     def test_accept_commits_without_ledger_change(self, example_graph):
         st, rids = self._pushed_source(example_graph)
         flow_a = st.edge_flow[A]
         on_reply(st, Accept(A, rids[0], 10, 0))
         assert st.edge_flow[A] == flow_a
-        assert rids[0] not in st.pending
-        assert A not in st.busy
+        assert A not in st.pending
+        assert st.pending == {B: (rids[1], 5)}
 
     def test_nak_updates_label_cache(self, example_graph):
         st, rids = self._pushed_source(example_graph)
@@ -183,6 +183,24 @@ class TestOnReply:
         states = init_instance(example_graph, S, R, 15)
         with pytest.raises(UnknownRequestId):
             on_reply(states[S], Accept(A, 424242, 1, 0))
+
+    @pytest.mark.parametrize("forge", [
+        lambda rid: Nak(C, rid, 10, 3),  # a node S pushed nothing to
+        lambda rid: Accept(B, rid, 10, 0),  # another edge's responder
+        lambda rid: Nak(A, rid, 7, 0),  # the right edge, the wrong amount
+    ], ids=["non-neighbor", "other-edge", "wrong-amount"])
+    def test_reply_must_match_its_edge_push(self, example_graph, forge):
+        # each names the request id of S's push of 10 to A, but none
+        # matches that push's edge and amount, so none may settle it
+        st, rids = self._pushed_source(example_graph)
+        with pytest.raises(UnknownRequestId):
+            on_reply(st, forge(rids[0]))
+
+    def test_stale_duplicate_reply_is_fatal(self, example_graph):
+        st, rids = self._pushed_source(example_graph)
+        on_reply(st, Accept(A, rids[0], 10, 0))
+        with pytest.raises(UnknownRequestId):
+            on_reply(st, Accept(A, rids[0], 10, 0))
 
 
 class TestRelabel:

@@ -311,6 +311,15 @@ class TestPinnedSchedule:
         assert out.global_relabels >= 1
         assert digest == "4201a96a07a47f450be6e02a8cb4cee3d15759a0deb1e7cf44a49aa97139be0f"
 
+    def test_payment_that_rolls_back_an_in_flight_push(self):
+        # one later epoch and 2601 messages.  Node 32 first hears the epoch-1
+        # wave from node 0 while its push of 66 saturates the channel to 0,
+        # so only the roll-back rule finds that residual edge.
+        g = generate_ba(BAConfig(n=100, m_attach=2, cap_range=(20, 100), seed=61))
+        out, digest = trace_digest(g, 22, 20, 189, "uniform:1:10", 196)
+        assert (out.global_relabels, out.messages_sent) == (1, 2601)
+        assert digest == "d91828720440fbb98b2899dd6ab7386b257aa54df13de26d1ab835f666f9eb49"
+
 # 37 nodes, some channel directions without capacity; max-flow 21 -> 28 is 15
 CUT_OFF_RACE_NET = """\
 pcn 37
