@@ -203,7 +203,7 @@ def run_txn(
             txn_id, txn.s, txn.r, txn.val, feasible,
             sim.states[g.n + 1].excess, False, sim.simulated_time,
             time.perf_counter() - started, sim.messages_sent,
-            sum(st.relabel_count for st in sim.states.values()),
+            sim.relabels,
             error="event_budget_exhausted",
         )
     elapsed = time.perf_counter() - started

@@ -1,14 +1,14 @@
 """Payment channel network graph model and flow bookkeeping.
 
-A channel is a bilateral escrow between two accounts, stored once with one
-capacity per direction.  Capacities and flows are non-negative integers so
-all flow identities are exact.
+A channel is a bilateral escrow between two accounts with one capacity per
+direction; the graph stores each direction once, at the node it leaves.
+Capacities and flows are non-negative integers so all flow identities are
+exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 Funds = int
 NodeId = int
@@ -31,16 +31,11 @@ class NegativeCapacity(PcnError):
     pass
 
 
-class UnknownChannel(PcnError):
-    pass
-
-
 class CapacityViolation(PcnError):
     pass
 
 
-@dataclass
-class Channel:
+class Channel(NamedTuple):
     """One payment channel.  Endpoints are normalized so u < v.
 
     cap_forward funds the u->v direction, cap_backward the v->u direction.
@@ -56,74 +51,49 @@ class Channel:
     def id(self) -> ChannelId:
         return (self.u, self.v)
 
-    @property
-    def total(self) -> Funds:
-        return self.cap_forward + self.cap_backward
-
-    def capacity(self, x: NodeId, y: NodeId) -> Funds:
-        """Directed capacity x->y; 0 if (x, y) are not this channel's endpoints."""
-        if (x, y) == (self.u, self.v):
-            return self.cap_forward
-        if (x, y) == (self.v, self.u):
-            return self.cap_backward
-        return 0
-
 
 class ChannelGraph:
     """Bidirected capacitated graph of accounts and payment channels.
 
-    At most one channel per unordered node pair; non-edges answer with
-    capacity 0.  Mutation happens only through open_channel; apply_flow
-    returns a new graph.
+    Stored once, as each node's directed capacities: cap[v][w] = c(v, w)
+    for every channel neighbor w, so a channel is the pair of entries
+    cap[v][w] and cap[w][v].  At most one channel per unordered node pair;
+    non-edges answer with capacity 0.  Mutation happens only through
+    open_channel, and readers never write to cap; apply_flow returns a new
+    graph.
     """
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError("node count must be non-negative")
         self.n = n
-        self._channels: dict[ChannelId, Channel] = {}
-        self._adj: list[dict[NodeId, Channel]] = [dict() for _ in range(n)]
+        self.cap: list[dict[NodeId, Funds]] = [{} for _ in range(n)]
+        self.channel_count = 0
 
     # -- queries ---------------------------------------------------------
 
-    @property
-    def channel_count(self) -> int:
-        return len(self._channels)
-
     def channels(self) -> Iterator[Channel]:
-        return iter(self._channels.values())
-
-    def channel(self, cid: ChannelId) -> Channel:
-        try:
-            return self._channels[cid]
-        except KeyError:
-            raise UnknownChannel(f"no channel {cid}") from None
-
-    def has_channel(self, u: NodeId, v: NodeId) -> bool:
-        return (min(u, v), max(u, v)) in self._channels
+        """Each channel once, sorted by endpoint pair."""
+        cap = self.cap
+        for u in range(self.n):
+            for v in sorted(cap[u]):
+                if v > u:
+                    yield Channel(u, v, cap[u][v], cap[v][u])
 
     def neighbors(self, v: NodeId) -> list[NodeId]:
-        return sorted(self._adj[v])
+        return sorted(self.cap[v])
 
     def capacity(self, v: NodeId, w: NodeId) -> Funds:
         """Directed capacity c(v, w); 0 for non-edges."""
-        ch = self._adj[v].get(w) if 0 <= v < self.n else None
-        return ch.capacity(v, w) if ch is not None else 0
-
-    def total_escrow(self) -> Funds:
-        return sum(ch.total for ch in self._channels.values())
+        return self.cap[v].get(w, 0) if 0 <= v < self.n else 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChannelGraph):
             return NotImplemented
-        if self.n != other.n:
-            return False
-        return {c.id: (c.cap_forward, c.cap_backward) for c in self.channels()} == {
-            c.id: (c.cap_forward, c.cap_backward) for c in other.channels()
-        }
+        return self.n == other.n and self.cap == other.cap
 
     def __repr__(self) -> str:
-        return f"ChannelGraph(n={self.n}, channels={len(self._channels)})"
+        return f"ChannelGraph(n={self.n}, channels={self.channel_count})"
 
     # -- mutation --------------------------------------------------------
 
@@ -141,14 +111,12 @@ class ChannelGraph:
             raise NegativeCapacity(f"capacities must be >= 0, got {cap_uv}, {cap_vu}")
         if u > v:
             u, v, cap_uv, cap_vu = v, u, cap_vu, cap_uv
-        cid = (u, v)
-        if cid in self._channels:
-            raise DuplicateChannel(f"channel {cid} already open")
-        ch = Channel(u, v, cap_uv, cap_vu)
-        self._channels[cid] = ch
-        self._adj[u][v] = ch
-        self._adj[v][u] = ch
-        return cid
+        if v in self.cap[u]:
+            raise DuplicateChannel(f"channel {(u, v)} already open")
+        self.cap[u][v] = cap_uv
+        self.cap[v][u] = cap_vu
+        self.channel_count += 1
+        return (u, v)
 
 
 class FlowAssignment:

@@ -71,9 +71,11 @@ def loads_network(text: str) -> ChannelGraph:
 
 def dumps_network(g: ChannelGraph) -> str:
     lines = [f"pcn {g.n}"]
-    for cid in sorted(ch.id for ch in g.channels()):
-        ch = g.channel(cid)
-        lines.append(f"chan {ch.u} {ch.v} {ch.cap_forward} {ch.cap_backward}")
+    cap = g.cap
+    for u, out in enumerate(cap):
+        for v in sorted(out):
+            if v > u:
+                lines.append(f"chan {u} {v} {out[v]} {cap[v][u]}")
     return "\n".join(lines) + "\n"
 
 
@@ -106,10 +108,6 @@ def loads_workload(text: str, n: int) -> list[Transaction]:
             raise ParseError(line_no, f"value must be > 0, got {val}")
         txns.append(Transaction(s, r, val))
     return txns
-
-
-def dumps_workload(txns: list[Transaction]) -> str:
-    return "".join(f"txn {t.s} {t.r} {t.val}\n" for t in txns)
 
 
 def load_workload(path: str | os.PathLike, n: int) -> list[Transaction]:

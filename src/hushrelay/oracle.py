@@ -31,7 +31,7 @@ def maxflow_augmenting(
     if s == r:
         raise ValueError("source and sink must differ")
     flow: dict[tuple[int, int], int] = {}
-    adj = [g.neighbors(v) for v in range(g.n)]
+    cap = g.cap
     total = 0
     while stop_at is None or total < stop_at:
         # BFS over residual edges for a shortest path
@@ -39,8 +39,8 @@ def maxflow_augmenting(
         queue = deque([s])
         while queue and r not in parent:
             v = queue.popleft()
-            for w in adj[v]:
-                if w not in parent and g.capacity(v, w) - flow.get((v, w), 0) > 0:
+            for w, c in cap[v].items():
+                if w not in parent and c - flow.get((v, w), 0) > 0:
                     parent[w] = v
                     queue.append(w)
         if r not in parent:
@@ -50,7 +50,7 @@ def maxflow_augmenting(
             path.append(parent[path[-1]])
         path.reverse()
         bottleneck = min(
-            g.capacity(v, w) - flow.get((v, w), 0) for v, w in zip(path, path[1:])
+            cap[v][w] - flow.get((v, w), 0) for v, w in zip(path, path[1:])
         )
         if stop_at is not None:
             bottleneck = min(bottleneck, stop_at - total)

@@ -124,9 +124,10 @@ class NodeState:
     id: NodeId
     label: int = 0
     excess: Funds = 0
-    # local ledger f(v, w) per neighbor, and static directed capacities;
-    # the ledger's key order (sorted channel neighbors, then the virtual
-    # peer) is the order in which pushes are offered
+    # local ledger f(v, w) per neighbor, and static directed capacities
+    # (the graph's own dict, except at s and r); the ledger's key order
+    # (sorted channel neighbors, then the virtual peer) is the order in
+    # which pushes are offered
     edge_flow: dict[NodeId, Funds] = field(default_factory=dict)
     cap: dict[NodeId, Funds] = field(default_factory=dict)
     neighbor_labels: dict[NodeId, int] = field(default_factory=dict)
@@ -134,7 +135,6 @@ class NodeState:
     pending: dict[NodeId, tuple[int, Funds]] = field(default_factory=dict)
     # sorted real channel neighbors; virtual peer excluded from broadcasts
     channel_neighbors: list[NodeId] = field(default_factory=list)
-    relabel_count: int = 0
     next_request: int = 0
     wake_scheduled: bool = False
     # last epoch whose SinkDistance wave reached this node (0: none yet)
@@ -186,15 +186,10 @@ def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> dict[Nod
         if not 0 <= v < g.n:
             raise ValueError(f"node {v} out of range 0..{g.n - 1}")
     sp, rp = g.n, g.n + 1
-    caps: list[dict[NodeId, Funds]] = [{} for _ in range(g.n)]
-    for ch in g.channels():
-        caps[ch.u][ch.v] = ch.cap_forward
-        caps[ch.v][ch.u] = ch.cap_backward
     states: dict[NodeId, NodeState] = {}
-    for v in range(g.n):
-        cap = caps[v]
+    for v, cap in enumerate(g.cap):
         nbrs = sorted(cap)
-        st = NodeState(
+        states[v] = NodeState(
             id=v,
             edge_flow=dict.fromkeys(nbrs, 0),
             cap=cap,
@@ -202,14 +197,14 @@ def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> dict[Nod
             channel_neighbors=nbrs,
             n=g.n,
         )
-        states[v] = st
 
+    # s and r gain a virtual peer, so they get copies of the graph's dicts
     src, snk = states[s], states[r]
-    src.cap[sp] = 0
+    src.cap = {**g.cap[s], sp: 0}
     src.edge_flow[sp] = -val
     src.neighbor_labels[sp] = g.n + 2
     src.excess = val
-    snk.cap[rp] = val
+    snk.cap = {**g.cap[r], rp: val}
     snk.edge_flow[rp] = 0
     snk.neighbor_labels[rp] = 0
 
@@ -247,7 +242,6 @@ def relabel(v: NodeState) -> LabelUpdate:
     if lowest is None:
         raise ProtocolError(f"node {v.id} has excess but no residual neighbor")
     v.label = lowest + 1
-    v.relabel_count += 1
     return LabelUpdate(v.id, v.label)
 
 
@@ -440,16 +434,17 @@ def check_node_invariants(v: NodeState, n: int) -> None:
 
 def extract_outcome(
     states: dict[NodeId, NodeState],
-    g: ChannelGraph,
+    n: int,
     s: NodeId,
     r: NodeId,
     val: Funds,
     *,
     messages_sent: int,
+    relabels: int,
     simulated_time: int,
     global_relabels: int = 0,
 ) -> RoutingOutcome:
-    """Assemble the routing outcome from quiescent node states.
+    """Assemble the routing outcome from quiescent node states on n real nodes.
 
     Asserts the termination contract: zero excess everywhere except the
     virtual endpoints, and mirrored per-edge ledgers.  The reported flow is
@@ -459,7 +454,7 @@ def extract_outcome(
     is the pipeline's one cycle-cancel pass: decomposition and the flow
     report take the acyclic flow as given and reject circulation.
     """
-    sp, rp = g.n, g.n + 1
+    sp, rp = n, n + 1
     for v, st in states.items():
         if st.pending:
             raise NotTerminated(f"node {v} still has in-flight pushes")
@@ -472,21 +467,22 @@ def extract_outcome(
             f"delivered {delivered} + returned {returned} != routed value {val}"
         )
     flow = FlowAssignment(s, r)
-    for ch in g.channels():
-        f_uv = states[ch.u].edge_flow[ch.v]
-        mirrored = states[ch.v].edge_flow[ch.u]
-        if f_uv != -mirrored:
-            raise ProtocolError(
-                f"ledger mismatch on channel {ch.id}: {f_uv} vs {-mirrored}"
-            )
-        if f_uv != 0:
-            flow.add(ch.u, ch.v, f_uv)
-    flow = cancel_cycles(flow)
-    relabels = sum(st.relabel_count for st in states.values())
+    # a zero entry is checked from its mirror, unless both are zero
+    for v in range(n):
+        for w, f_vw in states[v].edge_flow.items():
+            if f_vw == 0 or w >= n:
+                continue
+            mirrored = states[w].edge_flow[v]
+            if f_vw != -mirrored:
+                raise ProtocolError(
+                    f"ledger mismatch on channel {(min(v, w), max(v, w))}: {f_vw} vs {-mirrored}"
+                )
+            if f_vw > 0:
+                flow.add(v, w, f_vw)
     return RoutingOutcome(
         delivered=delivered,
         returned=returned,
-        flow=flow,
+        flow=cancel_cycles(flow),
         messages_sent=messages_sent,
         relabels=relabels,
         simulated_time=simulated_time,

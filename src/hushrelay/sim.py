@@ -141,14 +141,13 @@ class Simulator:
         # the timestamp's message deliveries, so they live in a plain FIFO.
         self._queue: list[tuple[int, int, NodeId, Message]] = []
         self._wakes: deque[int] = deque()
-        self._states_by_id = [self.states[v] for v in range(g.n + 2)]
         self.max_events = (
             self.cfg.max_events
             if self.cfg.max_events is not None
             else 50 * (g.n + 2) ** 2 * (g.channel_count + 2)
         )
         self.epoch = 0
-        self._relabels = 0
+        self.relabels = 0  # every relabel of the run, counted where it happens
         wave = self._start_epoch(0)
         for sent, (dest, m) in enumerate(wave, 1):
             heappush(self._queue, (self.cfg.latency.sample(self._rng), sent, dest, m))
@@ -208,7 +207,7 @@ class Simulator:
         """
         queue = self._queue
         wakes = self._wakes
-        states = self._states_by_id
+        states = self.states
         sent = self.messages_sent
         lat_lo, lat_hi = self.cfg.latency.lo, self.cfg.latency.hi
         const_delay = lat_lo if lat_lo == lat_hi else None
@@ -225,7 +224,7 @@ class Simulator:
         on_cut_off = protocol.on_cut_off
         source = self.source
         waves = self._waves
-        relabels = self._relabels
+        relabels = self.relabels
         done = 0
         delivered = 0
         now = self.simulated_time
@@ -292,7 +291,7 @@ class Simulator:
             if check:
                 protocol.check_node_invariants(st, n)
         self._waves = waves
-        self._relabels = relabels
+        self.relabels = relabels
         self.simulated_time = now
         self.events_dispatched += done
         self.messages_sent = sent
@@ -320,11 +319,12 @@ class Simulator:
     def outcome(self) -> RoutingOutcome:
         return protocol.extract_outcome(
             self.states,
-            self.graph,
+            self.graph.n,
             self.source,
             self.sink,
             self.value,
             messages_sent=self.messages_sent,
+            relabels=self.relabels,
             simulated_time=self.simulated_time,
             global_relabels=self.epoch - 1,
         )

@@ -22,6 +22,11 @@ def example_graph() -> ChannelGraph:
     return five_node_graph()
 
 
+def escrows(g: ChannelGraph) -> dict[tuple[int, int], int]:
+    """Each channel's escrowed total, both directions summed; any flow conserves it."""
+    return {ch.id: ch.cap_forward + ch.cap_backward for ch in g.channels()}
+
+
 def reversed_flow(f: FlowAssignment) -> FlowAssignment:
     """The same edge amounts sent the other way; apply_flow of it undoes f."""
     back = FlowAssignment(f.sink, f.source)

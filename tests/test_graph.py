@@ -2,16 +2,16 @@ import pytest
 
 from hushrelay.graph import (
     CapacityViolation,
+    Channel,
     ChannelGraph,
     DuplicateChannel,
     FlowAssignment,
     NegativeCapacity,
     SelfLoop,
-    UnknownChannel,
     apply_flow,
 )
 
-from .conftest import A, B, C, R, S, reversed_flow
+from .conftest import A, B, C, R, S, escrows, reversed_flow
 
 
 class TestOpenChannel:
@@ -23,8 +23,10 @@ class TestOpenChannel:
 
     def test_zero_capacity_channel_is_valid(self):
         g = ChannelGraph(2)
-        cid = g.open_channel(0, 1, 0, 0)
-        assert g.channel(cid).total == 0
+        g.open_channel(0, 1, 0, 0)
+        assert g.channel_count == 1
+        assert g.neighbors(0) == [1] and g.neighbors(1) == [0]
+        assert g.capacity(0, 1) == g.capacity(1, 0) == 0
 
     def test_self_loop_rejected(self):
         g = ChannelGraph(3)
@@ -55,10 +57,32 @@ class TestOpenChannel:
         assert g.neighbors(0) == [2]
         assert g.neighbors(2) == [0]
 
-    def test_unknown_channel_lookup_rejected(self):
-        g = ChannelGraph(3)
-        with pytest.raises(UnknownChannel):
-            g.channel((0, 1))
+
+class TestChannels:
+    # opened out of order, in both orientations
+    SPECS = [(3, 1, 5, 6), (0, 2, 1, 2), (2, 1, 7, 0), (1, 0, 4, 3)]
+
+    def graph(self, specs) -> ChannelGraph:
+        g = ChannelGraph(4)
+        for spec in specs:
+            g.open_channel(*spec)
+        return g
+
+    def test_each_channel_once_sorted_by_endpoint_pair(self):
+        g = self.graph(self.SPECS)
+        assert list(g.channels()) == [
+            Channel(0, 1, 3, 4),
+            Channel(0, 2, 1, 2),
+            Channel(1, 2, 0, 7),
+            Channel(1, 3, 6, 5),
+        ]
+        assert g.channel_count == 4
+
+    def test_equality_ignores_opening_order_only(self):
+        flipped = [(v, u, c_vu, c_uv) for u, v, c_uv, c_vu in reversed(self.SPECS)]
+        assert self.graph(flipped) == self.graph(self.SPECS)
+        changed = [(3, 1, 5, 6), (0, 2, 1, 2), (2, 1, 7, 1), (1, 0, 4, 3)]
+        assert self.graph(changed) != self.graph(self.SPECS)
 
 
 class TestResidual:
@@ -107,7 +131,7 @@ class TestApplyFlow:
     def test_escrow_total_conserved(self, example_graph):
         f = FlowAssignment(S, R)
         f.add(S, A, 9)
-        assert apply_flow(example_graph, f).total_escrow() == example_graph.total_escrow()
+        assert escrows(apply_flow(example_graph, f)) == escrows(example_graph)
 
     def test_overflow_rejected(self, example_graph):
         f = FlowAssignment(S, R)

@@ -1,10 +1,10 @@
 import pytest
 
+from hushrelay.graph import ChannelGraph
 from hushrelay.netfile import (
     MAX_NODES,
     ParseError,
     dumps_network,
-    dumps_workload,
     load_network,
     loads_network,
     loads_workload,
@@ -39,6 +39,15 @@ def test_round_trip_is_identity():
     g2 = loads_network(text)
     assert g2 == g
     assert dumps_network(g2) == text
+
+
+def test_dump_is_canonical_whatever_the_opening_order():
+    g = ChannelGraph(5)
+    for u, v, c_uv, c_vu in [(4, 3, 0, 20), (3, 2, 0, 15), (0, 2, 10, 0), (1, 0, 0, 10), (1, 3, 10, 0)]:
+        g.open_channel(u, v, c_uv, c_vu)
+    assert dumps_network(g).splitlines()[1:] == [
+        line.split("#")[0].strip() for line in EXAMPLE.splitlines()[2:]
+    ]
 
 
 def test_file_round_trip(tmp_path):
@@ -96,10 +105,8 @@ def test_empty_file_rejected():
 
 
 def test_workload_round_trip():
-    txns = [Transaction(0, 3, 15), Transaction(2, 1, 40)]
-    text = dumps_workload(txns)
-    assert text == "txn 0 3 15\ntxn 2 1 40\n"
-    assert loads_workload(text, 4) == txns
+    text = "# two payments\ntxn 0 3 15\ntxn 2 1 40   # the second\n"
+    assert loads_workload(text, 4) == [Transaction(0, 3, 15), Transaction(2, 1, 40)]
 
 
 def test_workload_rejects_same_endpoints():

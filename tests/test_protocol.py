@@ -23,7 +23,7 @@ from hushrelay.protocol import (
 )
 from hushrelay.sim import SimConfig, Simulator, run
 
-from .conftest import A, B, C, R, S
+from .conftest import A, B, C, R, S, five_node_graph
 
 SP, RP = 5, 6  # virtual endpoints for the five-node example
 
@@ -47,7 +47,10 @@ class TestInitInstance:
     def test_virtual_edges_not_in_graph(self, example_graph):
         init_instance(example_graph, S, R, 15)
         assert example_graph.n == 5
-        assert not example_graph.has_channel(S, SP)
+        assert example_graph.channel_count == 5
+        assert example_graph.neighbors(S) == [A, B]
+        assert example_graph.neighbors(R) == [C]
+        assert example_graph == five_node_graph()
 
     def test_same_source_sink_rejected(self, example_graph):
         with pytest.raises(SameSourceSink):
@@ -83,10 +86,8 @@ class TestOnActivate:
         st.neighbor_labels = {A: 1, B: 1, R: 1}
         out = on_activate(st)
         assert st.label == 2
-        updates = [(dest, m) for dest, m in out if type(m) is LabelUpdate]
-        assert {dest for dest, _ in updates} == {A, B, R}
-        assert all(m.new_label == 2 for _, m in updates)
-        assert st.relabel_count == 1
+        # one relabel: one broadcast, to each channel neighbor in order
+        assert out == [(w, LabelUpdate(C, 2)) for w in (A, B, R)]
 
     def test_no_relabel_while_pushes_in_flight(self, example_graph):
         states = init_instance(example_graph, S, R, 15)
@@ -424,6 +425,16 @@ class TestExtractOutcome:
         out = run(g, 0, 1, 1, SimConfig(seed=1))
         assert out.delivered == 1
         assert out.flow.positive_edges() == {(0, 1): 1}
+
+    @pytest.mark.parametrize("zeroed", [A, C])
+    def test_one_sided_ledger_rejected(self, example_graph, zeroed):
+        # any 15-unit flow sends at least 5 over A->C; wipe one side's entry,
+        # and the check must catch it from the other, whichever sign it has
+        sim = Simulator(example_graph, S, R, 15, SimConfig(seed=1))
+        sim.run()
+        sim.states[zeroed].edge_flow[A + C - zeroed] = 0
+        with pytest.raises(ProtocolError, match=r"ledger mismatch on channel \(1, 3\)"):
+            sim.outcome()
 
     def test_not_terminated_rejected(self, example_graph):
         sim = Simulator(example_graph, S, R, 15, SimConfig(seed=1))

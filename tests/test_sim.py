@@ -4,8 +4,9 @@ from collections import deque
 
 import pytest
 
+from hushrelay import cli
 from hushrelay.graph import ChannelGraph
-from hushrelay.netfile import loads_network
+from hushrelay.netfile import dumps_network, loads_network
 from hushrelay.protocol import ProtocolError
 from hushrelay.sim import (
     EventBudgetExhausted,
@@ -179,10 +180,14 @@ class TestSinkDistanceWave:
         # plain graph distances, and leave some nodes unable to reach r
         g = generate_ba(BAConfig(n=150, m_attach=2, cap_range=(0, 3), seed=pick))
         s, r = 3 * pick + 1, 7 * pick + 2
-        sim = Simulator(g, s, r, 2, SimConfig(seed=pick))
+        buf = io.StringIO()
+        sim = Simulator(g, s, r, 2, SimConfig(seed=pick), trace=buf)
         sim.run()
         hops = sink_hops(g, r)
-        unrelabeled = [v for v in range(g.n) if sim.states[v].relabel_count == 0]
+        # every relabel broadcasts a label_update to each channel neighbor
+        lines = [line.split() for line in buf.getvalue().splitlines()]
+        relabeled = {int(f[2]) for f in lines if f[1] == "label_update"}
+        unrelabeled = [v for v in range(g.n) if v not in relabeled]
         assert len(unrelabeled) > g.n // 2
         assert any(v not in hops for v in unrelabeled)
         for v in unrelabeled:
@@ -210,14 +215,18 @@ class TestSinkDistanceWave:
         g.open_channel(s, a, 10, 10)
         g.open_channel(a, b, 10, 10)
         g.open_channel(b, r, 10, 10)
-        sim = Simulator(g, s, r, 5, SimConfig(seed=0))
+        buf = io.StringIO()
+        sim = Simulator(g, s, r, 5, SimConfig(seed=0), trace=buf)
         src = sim.states[s]
         heard_early = False
         while not src.reached:
-            assert src.next_request == 0 and src.relabel_count == 0
+            # only s holds excess, so nothing may push or relabel yet
+            assert src.next_request == 0 and sim.relabels == 0
             heard_early |= src.neighbor_labels[x] > 0
             assert sim.step()
         assert heard_early
+        traced = [line.split()[1:3] for line in buf.getvalue().splitlines()]
+        assert ["label_update", str(s)] not in traced
         assert src.label == 3
         assert sim.run().delivered == 5
 
@@ -319,6 +328,40 @@ class TestPinnedSchedule:
         out, digest = trace_digest(g, 22, 20, 189, "uniform:1:10", 196)
         assert (out.global_relabels, out.messages_sent) == (1, 2601)
         assert digest == "d91828720440fbb98b2899dd6ab7386b257aa54df13de26d1ab835f666f9eb49"
+
+
+class TestPinnedPipeline:
+    """The whole bench pipeline's output, pinned by the sha256 of its JSON report.
+
+    One digest covers oracle feasibility, amounts delivered, messages,
+    relabels, simulated time and epochs.  A deliberate change to any of them
+    must update it and say why in CHANGES.md.
+    """
+
+    def test_bench_json_on_a_ba_network(self, tmp_path):
+        # 42 feasible and 18 infeasible payments on n=100
+        out = tmp_path / "bench.json"
+        assert cli.main([
+            "bench", "--nodes", "100", "--txns", "60", "--val-max", "200", "--seed", "5",
+            "--latency", "uniform:1:3", "--format", "json", "--out", str(out),
+        ]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "02efa48665f1b6204016aa8bd66c035c92a73f64d6b9e10a5df1ef42d246cbf7"
+
+
+class TestGraphUntouched:
+    # the node states share the graph's capacity dicts; s and r, which gain
+    # a virtual peer, must get copies
+    @pytest.mark.parametrize("s, r, val", [(53, 93, 143), (93, 53, 40)])
+    def test_routing_leaves_the_graph_untouched(self, s, r, val):
+        g = generate_ba(BAConfig(n=100, m_attach=2, cap_range=(20, 100), seed=61))
+        text = dumps_network(g)
+        Simulator(g, s, r, val, SimConfig(seed=0)).run()
+        assert g.n not in g.cap[s]
+        assert g.n + 1 not in g.cap[r]
+        assert dumps_network(g) == text
+        assert g == loads_network(text)
+
 
 # 37 nodes, some channel directions without capacity; max-flow 21 -> 28 is 15
 CUT_OFF_RACE_NET = """\
