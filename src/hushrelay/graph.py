@@ -80,13 +80,6 @@ class ChannelGraph:
                 if v > u:
                     yield Channel(u, v, cap[u][v], cap[v][u])
 
-    def neighbors(self, v: NodeId) -> list[NodeId]:
-        return sorted(self.cap[v])
-
-    def capacity(self, v: NodeId, w: NodeId) -> Funds:
-        """Directed capacity c(v, w); 0 for non-edges."""
-        return self.cap[v].get(w, 0) if 0 <= v < self.n else 0
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChannelGraph):
             return NotImplemented
@@ -166,15 +159,6 @@ class FlowAssignment:
         return {
             v: a for v, a in sorted(net.items()) if a and v not in (self.source, self.sink)
         }
-
-    def validate(self, g: ChannelGraph) -> None:
-        """Check capacity and conservation against g; raise CapacityViolation otherwise."""
-        for (v, w), a in self._f.items():
-            if a > g.capacity(v, w):
-                raise CapacityViolation(f"f({v},{w})={a} exceeds c={g.capacity(v, w)}")
-        bad = self.unbalanced()
-        if bad:
-            raise CapacityViolation(f"conservation broken: net inflow {bad}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlowAssignment):

@@ -174,8 +174,6 @@ class ReportRun:
     edge_keys: dict[tuple[NodeId, NodeId], bytes]
     # (relay position from sink, packet length) per emitted packet
     position_lengths: list[tuple[int, int]] = field(default_factory=list)
-    # what each relay saw arrive; kept for privacy analysis in tests
-    relay_inbound: dict[NodeId, list[ReportPacket]] = field(default_factory=dict)
 
 
 def _sink_first(
@@ -259,7 +257,6 @@ def run_report(
         if v in (sink, source):
             continue
         items = inbox[v]
-        run.relay_inbound[v] = [pkt for pkt, _, _ in items]
         facts = [(u, a, edge_keys[(u, v)]) for u, a in pos_in.get(v, ())]
         if not facts or not items:
             raise InconsistentFlow(f"relay {v} forwards flow it never received")

@@ -1,12 +1,15 @@
 """Deterministic discrete-event dispatcher for the routing protocol.
 
-Events are delivered in (time, insertion-sequence) order, so identical
-inputs and configuration replay bit-identically.  Message latency comes
-from a seeded latency model; node activations are local continuations and
-run at the current timestamp.  Each run starts with the sink's
-SinkDistance wave; the source waits as a passive node until the wave
-reaches it, or until the wave dies out if no residual path to the sink
-exists.
+Every delay is a whole number of ticks in [lo, hi] with 1 <= lo, so the
+event queue is a calendar queue: a ring of hi + 1 FIFO slots, one per tick
+modulo the ring length.  A send appends the message to the slot of its
+delivery tick; a node activation is a local continuation and appends to the
+current tick's slot, which already holds every delivery for that tick.  So
+events run in (time, insertion-sequence) order, and identical inputs and
+configuration replay bit-identically.  Message latency comes from a seeded
+latency model.  Each run starts with the sink's SinkDistance wave; the
+source waits as a passive node until the wave reaches it, or until the wave
+dies out if no residual path to the sink exists.
 
 Global relabeling: the dispatcher counts the wave messages in flight, so it
 sees for free when a wave dies out (a deployment would pay one echo per
@@ -25,7 +28,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from typing import IO
 
 from .graph import ChannelGraph, Funds, NodeId
@@ -54,6 +56,10 @@ class EventBudgetExhausted(Exception):
         self.sim = sim
 
 
+# the event ring holds MAX_DELAY + 1 slots at most
+MAX_DELAY = 1000
+
+
 @dataclass(frozen=True)
 class LatencyModel:
     """Per-message delay: constant when lo == hi, else uniform integer draws from a seeded RNG."""
@@ -63,14 +69,12 @@ class LatencyModel:
 
     @staticmethod
     def constant(d: int) -> "LatencyModel":
-        if d <= 0:
-            raise ValueError("delay must be > 0")
-        return LatencyModel(d, d)
+        return LatencyModel.uniform(d, d)
 
     @staticmethod
     def uniform(lo: int, hi: int) -> "LatencyModel":
-        if lo <= 0 or hi < lo:
-            raise ValueError("need 0 < lo <= hi")
+        if not 0 < lo <= hi <= MAX_DELAY:
+            raise ValueError(f"need 0 < lo <= hi <= MAX_DELAY ({MAX_DELAY})")
         return LatencyModel(lo, hi)
 
     @staticmethod
@@ -136,11 +140,11 @@ class Simulator:
         self.simulated_time = 0
         self.messages_delivered = 0
         self.events_dispatched = 0
-        # heap entries: (time, messages sent so far, to, message).  Node
-        # activations are same-timestamp continuations and always order after
-        # the timestamp's message deliveries, so they live in a plain FIFO.
-        self._queue: list[tuple[int, int, NodeId, Message]] = []
-        self._wakes: deque[int] = deque()
+        # the event ring: tick t's events, in order, sit in _slots[t % len];
+        # an entry is (to, message), or (to, None) for an activation of `to`
+        self._slots: list[deque[tuple[NodeId, Message | None]]] = [
+            deque() for _ in range(self.cfg.latency.hi + 1)
+        ]
         self.max_events = (
             self.cfg.max_events
             if self.cfg.max_events is not None
@@ -149,8 +153,8 @@ class Simulator:
         self.epoch = 0
         self.relabels = 0  # every relabel of the run, counted where it happens
         wave = self._start_epoch(0)
-        for sent, (dest, m) in enumerate(wave, 1):
-            heappush(self._queue, (self.cfg.latency.sample(self._rng), sent, dest, m))
+        for dest, m in wave:
+            self._slots[self.cfg.latency.sample(self._rng)].append((dest, m))
         # _waves: wave messages in flight
         self.messages_sent = self._waves = len(wave)
 
@@ -184,7 +188,8 @@ class Simulator:
             out = protocol.on_cut_off(src, CutOff(self._sp, self.graph.n + 2, self.epoch))
             if (waiting or src.label != label) and src.excess > 0 and not src.wake_scheduled:
                 src.wake_scheduled = True
-                self._wakes.append(self.source)
+                # _dispatch keeps simulated_time at the current tick
+                self._slots[self.simulated_time % len(self._slots)].append((self.source, None))
             if out:
                 return out
         if relabels >= self._epoch_due:
@@ -200,13 +205,15 @@ class Simulator:
         once a run has started it is the only code that sends a message.
         Local bindings matter here: this loop runs once per event, and a
         `drain` payment sends about 2.5k messages, the desk-scale workload's
-        infeasible payments about 25k at the median.  Per timestamp, message
-        deliveries run in scheduling order first, then node activations in
-        FIFO order, which is exactly the (time, sequence) order a single queue
-        would give.
+        infeasible payments about 25k at the median.  Events run from the
+        current tick's slot in FIFO order.  When it is empty, the next
+        non-empty slot within the ring is the next tick with an event; when
+        every slot is empty, nothing is left to run.  Time advances only
+        there, and is recorded at once so that _wave_died wakes the source
+        in the current slot.
         """
-        queue = self._queue
-        wakes = self._wakes
+        slots = self._slots
+        size = len(slots)
         states = self.states
         sent = self.messages_sent
         lat_lo, lat_hi = self.cfg.latency.lo, self.cfg.latency.hi
@@ -228,12 +235,21 @@ class Simulator:
         done = 0
         delivered = 0
         now = self.simulated_time
+        slot = slots[now % size]
         while done < limit:
-            if wakes and not (queue and queue[0][0] == now):
-                # trailing activations of the current timestamp
-                done += 1
-                to = wakes.popleft()
-                st = states[to]
+            if not slot:
+                for ahead in range(1, size):
+                    if slots[(now + ahead) % size]:
+                        break
+                else:
+                    break
+                now += ahead
+                self.simulated_time = now
+                slot = slots[now % size]
+            done += 1
+            to, msg = slot.popleft()
+            st = states[to]
+            if msg is None:
                 st.wake_scheduled = False
                 label_before = st.label
                 out = on_activate(st)
@@ -244,18 +260,15 @@ class Simulator:
                         )
                     if not st.wake_scheduled:
                         st.wake_scheduled = True
-                        wakes.append(to)
+                        slot.append((to, None))
                     relabels += 1
                     if not waves and relabels >= self._epoch_due:
                         # the new epoch's wave goes out before this activation's messages
                         wave = self._start_epoch(relabels)
                         waves = len(wave)
                         out = [*wave, *out]
-            elif queue:
-                done += 1
-                now, _, to, msg = heappop(queue)
+            else:
                 delivered += 1
-                st = states[to]
                 if trace is not None:
                     self._trace_line(now, to, msg)
                 kind = type(msg)
@@ -281,18 +294,15 @@ class Simulator:
                     out = ()
                 if st.excess > 0 and not st.passive and not st.wake_scheduled:
                     st.wake_scheduled = True
-                    wakes.append(to)
-            else:
-                break
+                    slot.append((to, None))
             for dest, m in out:
                 sent += 1
                 delay = const_delay if const_delay is not None else rng_draw(lat_lo, lat_hi)
-                heappush(queue, (now + delay, sent, dest, m))
+                slots[(now + delay) % size].append((dest, m))
             if check:
                 protocol.check_node_invariants(st, n)
         self._waves = waves
         self.relabels = relabels
-        self.simulated_time = now
         self.events_dispatched += done
         self.messages_sent = sent
         self.messages_delivered += delivered
@@ -312,7 +322,7 @@ class Simulator:
 
     def quiescent(self) -> bool:
         """True iff nothing is queued, no push is unsettled and no real node is active."""
-        if self._queue or self._wakes:
+        if any(self._slots):
             return False
         return not any(st.pending or st.active for st in self.states.values())
 
@@ -332,7 +342,7 @@ class Simulator:
     def run(self) -> RoutingOutcome:
         """Dispatch events until quiescence; raise EventBudgetExhausted on a hang."""
         self._dispatch(self.max_events + 1 - self.events_dispatched)
-        if self._queue or self._wakes:
+        if any(self._slots):
             raise EventBudgetExhausted(self)
         if self.messages_delivered != self.messages_sent:
             raise protocol.ProtocolError(

@@ -1,6 +1,10 @@
+from random import Random
+
 import pytest
 
+from hushrelay import report
 from hushrelay.graph import ChannelGraph, FlowAssignment
+from hushrelay.report import ReportPacket, ReportRun
 
 # Worked five-node example used throughout: S=0, A=1, B=2, C=3, R=4.
 # Max flow S->R is 20, limited by the C->R channel.
@@ -33,3 +37,29 @@ def reversed_flow(f: FlowAssignment) -> FlowAssignment:
     for (v, w), a in f.positive_edges().items():
         back.add(w, v, a)
     return back
+
+
+def run_report_observed(
+    flow: FlowAssignment, rng: Random
+) -> tuple[ReportRun, dict[int, list[ReportPacket]]]:
+    """run_report's result and the packets each relay received, relays in first-seen order.
+
+    Observed by wrapping report.relay_report: a relay wraps every packet it
+    received under the key of the edge (relay, sender) it arrived over, and
+    may wrap one packet more than once.
+    """
+    seen: list[tuple[bytes, ReportPacket]] = []
+    relay_report = report.relay_report
+
+    def observe(pkt, key, *args):
+        seen.append((key, pkt))
+        return relay_report(pkt, key, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "relay_report", observe)
+        run = report.run_report(flow, rng=rng)
+    relay_of = {key: edge[0] for edge, key in run.edge_keys.items()}
+    inbound: dict[int, dict[int, ReportPacket]] = {}
+    for key, pkt in seen:
+        inbound.setdefault(relay_of[key], {})[id(pkt)] = pkt
+    return run, {relay: list(pkts.values()) for relay, pkts in inbound.items()}

@@ -1,10 +1,10 @@
-"""Test-only flow oracles: a second max-flow route and the min-cut certificate check."""
+"""Test-only flow oracles: a second max-flow route, the min-cut certificate check and a flow check."""
 
 from __future__ import annotations
 
 from collections import deque
 
-from hushrelay.graph import ChannelGraph, FlowAssignment, Funds, NodeId
+from hushrelay.graph import CapacityViolation, ChannelGraph, FlowAssignment, Funds, NodeId
 
 
 def feasible_flow_sequential(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> FlowAssignment:
@@ -20,7 +20,7 @@ def feasible_flow_sequential(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) 
         raise ValueError("value must be >= 0")
     n = g.n
     sp, rp = n, n + 1  # virtual source / virtual sink
-    adj: list[list[int]] = [g.neighbors(v) for v in range(n)] + [[s], [r]]
+    adj: list[list[int]] = [sorted(g.cap[v]) for v in range(n)] + [[s], [r]]
     adj[s] = adj[s] + [sp]
     adj[r] = adj[r] + [rp]
     cap: dict[tuple[int, int], int] = {}
@@ -93,8 +93,19 @@ def residual_reachable(g: ChannelGraph, flow: FlowAssignment, s: NodeId) -> set[
     queue = deque([s])
     while queue:
         v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in seen and g.capacity(v, w) - flow.get(v, w) > 0:
+        for w, c in g.cap[v].items():
+            if w not in seen and c - flow.get(v, w) > 0:
                 seen.add(w)
                 queue.append(w)
     return seen
+
+
+def validate_flow(flow: FlowAssignment, g: ChannelGraph) -> None:
+    """Check flow's capacity and conservation against g; raise CapacityViolation otherwise."""
+    for (v, w), a in flow.positive_edges().items():
+        c = g.cap[v].get(w, 0)
+        if a > c:
+            raise CapacityViolation(f"f({v},{w})={a} exceeds c={c}")
+    bad = flow.unbalanced()
+    if bad:
+        raise CapacityViolation(f"conservation broken: net inflow {bad}")

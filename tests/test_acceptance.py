@@ -17,11 +17,11 @@ from hushrelay.cli import main
 from hushrelay.decompose import decompose
 from hushrelay.netfile import save_network
 from hushrelay.oracle import maxflow_augmenting
-from hushrelay.report import AeadCipher, AuthFailure, UNIT_LEN, reconstruct, run_report
+from hushrelay.report import AeadCipher, AuthFailure, UNIT_LEN, reconstruct
 from hushrelay.sim import LatencyModel, SimConfig, Simulator
 from hushrelay.topology import BAConfig, WorkloadConfig, generate_ba, generate_workload
 
-from .conftest import A, B, C, R, S, five_node_graph
+from .conftest import A, B, C, R, S, five_node_graph, run_report_observed
 
 CORPUS_SIZE = 1000
 
@@ -154,7 +154,7 @@ def test_criterion_6_message_budget(corpus):
         if r >= s:
             r += 1
         # everything the source can emit plus more: forces a full drain-back
-        val = sum(g.capacity(s, w) for w in g.neighbors(s)) + rng.randint(1, 80)
+        val = sum(g.cap[s].values()) + rng.randint(1, 80)
         out = Simulator(g, s, r, val, SimConfig(seed=i, check_invariants=True)).run()
         calib.append(out.messages_sent / (12 * 12 * (g.channel_count + 2)))
     c = max(calib)
@@ -201,7 +201,7 @@ def test_criterion_8_flow_report_round_trip():
         out = Simulator(g, s, r, val, SimConfig(seed=i)).run()
         if out.delivered == 0:
             continue
-        run = run_report(out.flow, rng=Random(i))
+        run, relay_inbound = run_report_observed(out.flow, Random(i))
         rec = reconstruct(s, r, run.source_packets, run.k_sink, run.filler_set)
         assert rec.flow == out.flow
         assert sum(v for _, v in rec.paths) == out.delivered
@@ -210,7 +210,7 @@ def test_criterion_8_flow_report_round_trip():
         assert lengths == {run.depth * UNIT_LEN}
         lengths_by_depth.setdefault(run.depth, set()).update(lengths)
         # intermediates cannot authenticate any layer they carry (sampled)
-        for relay, packets in list(run.relay_inbound.items())[:2]:
+        for relay, packets in list(relay_inbound.items())[:2]:
             keys = [key for edge, key in run.edge_keys.items() if relay in edge]
             for pkt in packets[:2]:
                 for unit in pkt.units()[:3]:

@@ -50,6 +50,15 @@ class TestRoute:
     def test_zero_amount_is_usage_error(self, example_file):
         assert main(["route", "--network", example_file, "--source", "0", "--sink", "4", "--amount", "0"]) == 2
 
+    def test_delay_above_max_delay_is_usage_error(self, example_file, capsys):
+        # the event ring has one slot per tick of delay, so the bound is checked
+        # before any simulator is built
+        assert main([
+            "route", "--network", example_file, "--source", "0", "--sink", "4", "--amount", "15",
+            "--latency", "uniform:1:1000000000",
+        ]) == 2
+        assert "MAX_DELAY (1000)" in capsys.readouterr().err
+
     def test_missing_network_is_io_error(self, tmp_path):
         assert main(["route", "--network", str(tmp_path / "nope.pcn"), "--source", "0", "--sink", "4", "--amount", "5"]) == 3
 

@@ -12,21 +12,22 @@ from hushrelay.graph import (
 )
 
 from .conftest import A, B, C, R, S, escrows, reversed_flow
+from .oracles import validate_flow
 
 
 class TestOpenChannel:
     def test_open_sets_directed_capacities(self):
         g = ChannelGraph(5)
         g.open_channel(S, A, 10, 0)
-        assert g.capacity(S, A) == 10
-        assert g.capacity(A, S) == 0
+        assert g.cap[S].get(A, 0) == 10
+        assert g.cap[A].get(S, 0) == 0
 
     def test_zero_capacity_channel_is_valid(self):
         g = ChannelGraph(2)
         g.open_channel(0, 1, 0, 0)
         assert g.channel_count == 1
-        assert g.neighbors(0) == [1] and g.neighbors(1) == [0]
-        assert g.capacity(0, 1) == g.capacity(1, 0) == 0
+        assert sorted(g.cap[0]) == [1] and sorted(g.cap[1]) == [0]
+        assert g.cap[0].get(1, 0) == g.cap[1].get(0, 0) == 0
 
     def test_self_loop_rejected(self):
         g = ChannelGraph(3)
@@ -48,14 +49,14 @@ class TestOpenChannel:
         g = ChannelGraph(3)
         cid = g.open_channel(2, 0, 7, 3)
         assert cid == (0, 2)
-        assert g.capacity(2, 0) == 7
-        assert g.capacity(0, 2) == 3
+        assert g.cap[2].get(0, 0) == 7
+        assert g.cap[0].get(2, 0) == 3
 
     def test_adjacency_symmetric(self):
         g = ChannelGraph(4)
         g.open_channel(0, 2, 1, 1)
-        assert g.neighbors(0) == [2]
-        assert g.neighbors(2) == [0]
+        assert sorted(g.cap[0]) == [2]
+        assert sorted(g.cap[2]) == [0]
 
 
 class TestChannels:
@@ -90,22 +91,22 @@ class TestResidual:
     def test_saturating_push_leaves_zero_residual(self, example_graph):
         f = FlowAssignment(S, R)
         f.add(S, A, 10)
-        assert apply_flow(example_graph, f).capacity(S, A) == 0
+        assert apply_flow(example_graph, f).cap[S].get(A, 0) == 0
 
     def test_zero_flow_residual_equals_capacity(self, example_graph):
         f = FlowAssignment(S, R)
-        assert apply_flow(example_graph, f).capacity(S, A) == 10
+        assert apply_flow(example_graph, f).cap[S].get(A, 0) == 10
 
     def test_reverse_residual_from_antisymmetry(self, example_graph):
         # f(A,S) = -10 against c(A,S) = 0 opens 10 units of reverse residual
         f = FlowAssignment(S, R)
         f.add(S, A, 10)
         assert f.get(A, S) == -10
-        assert apply_flow(example_graph, f).capacity(A, S) == 10
+        assert apply_flow(example_graph, f).cap[A].get(S, 0) == 10
 
     def test_non_edge_residual_is_zero(self, example_graph):
         f = FlowAssignment(S, R)
-        assert apply_flow(example_graph, f).capacity(S, C) == 0
+        assert apply_flow(example_graph, f).cap[S].get(C, 0) == 0
 
 
 class TestApplyFlow:
@@ -114,8 +115,8 @@ class TestApplyFlow:
         for v, w, a in [(S, A, 10), (A, C, 10), (S, B, 5), (B, C, 5), (C, R, 15)]:
             f.add(v, w, a)
         g2 = apply_flow(example_graph, f)
-        assert g2.capacity(C, R) == 5
-        assert g2.capacity(R, C) == 15
+        assert g2.cap[C].get(R, 0) == 5
+        assert g2.cap[R].get(C, 0) == 15
 
     def test_empty_flow_leaves_graph_unchanged(self, example_graph):
         g2 = apply_flow(example_graph, FlowAssignment(S, R))
@@ -164,13 +165,13 @@ class TestFlowAssignment:
         f = FlowAssignment(S, R)
         for v, w, a in [(S, A, 10), (A, C, 10), (S, B, 5), (B, C, 5), (C, R, 15)]:
             f.add(v, w, a)
-        f.validate(example_graph)
+        validate_flow(f, example_graph)
 
     def test_validate_rejects_conservation_break(self, example_graph):
         f = FlowAssignment(S, R)
         f.add(S, A, 5)
         with pytest.raises(CapacityViolation):
-            f.validate(example_graph)
+            validate_flow(f, example_graph)
 
     def test_validate_rejects_overflow(self, example_graph):
         f = FlowAssignment(S, R)
@@ -178,4 +179,4 @@ class TestFlowAssignment:
         f.add(A, C, 10)
         f.add(A, R, 2)
         with pytest.raises(CapacityViolation):
-            f.validate(example_graph)
+            validate_flow(f, example_graph)

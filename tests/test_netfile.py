@@ -29,7 +29,7 @@ def test_parse_example_network():
     g = loads_network(EXAMPLE)
     assert g.n == 5
     assert g.channel_count == 5
-    assert g.capacity(3, 4) == 20
+    assert g.cap[3].get(4, 0) == 20
     assert g == five_node_graph()
 
 

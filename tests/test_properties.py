@@ -15,7 +15,7 @@ from hushrelay.sim import LatencyModel, SimConfig, Simulator
 from hushrelay.topology import BAConfig, generate_ba
 
 from .conftest import escrows, reversed_flow
-from .oracles import feasible_flow_sequential
+from .oracles import feasible_flow_sequential, validate_flow
 
 
 ba_configs = st.builds(
@@ -51,10 +51,10 @@ def test_network_format_round_trip(cfg):
 def test_oracle_flow_satisfies_all_constraints(cfg, pick):
     g, s, r, _ = random_instance(cfg, pick, 0)
     res = maxflow_augmenting(g, s, r)
-    res.flow.validate(g)
+    validate_flow(res.flow, g)
     assert res.flow.value == res.max_value
     for (v, w), a in res.flow.positive_edges().items():
-        assert g.capacity(v, w) - a >= 0
+        assert g.cap[v].get(w, 0) - a >= 0
 
 
 def scipy_max_flow(g, s, r):
@@ -141,7 +141,7 @@ def test_routing_matches_oracle_and_keeps_invariants(cfg, pick, val):
     expected = min(val, maxflow_augmenting(g, s, r).max_value)
     assert out.delivered == expected
     assert out.delivered + out.returned == val
-    out.flow.validate(g)
+    validate_flow(out.flow, g)
     for st_ in sim.states.values():
         check_node_invariants(st_, g.n)
 

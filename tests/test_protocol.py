@@ -48,8 +48,8 @@ class TestInitInstance:
         init_instance(example_graph, S, R, 15)
         assert example_graph.n == 5
         assert example_graph.channel_count == 5
-        assert example_graph.neighbors(S) == [A, B]
-        assert example_graph.neighbors(R) == [C]
+        assert sorted(example_graph.cap[S]) == [A, B]
+        assert sorted(example_graph.cap[R]) == [C]
         assert example_graph == five_node_graph()
 
     def test_same_source_sink_rejected(self, example_graph):

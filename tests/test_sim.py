@@ -37,7 +37,9 @@ class TestLatencyModel:
         assert LatencyModel.parse("const:2") == LatencyModel.constant(2)
         assert LatencyModel.parse("uniform:1:10") == LatencyModel.uniform(1, 10)
 
-    @pytest.mark.parametrize("bad", ["const:0", "uniform:0:5", "uniform:5:1", "nope", "const:x"])
+    @pytest.mark.parametrize("bad", [
+        "const:0", "uniform:0:5", "uniform:5:1", "nope", "const:x", "uniform:1:1000000000",
+    ])
     def test_invalid_specs_rejected(self, bad):
         with pytest.raises(ValueError):
             LatencyModel.parse(bad)
@@ -166,8 +168,8 @@ def sink_hops(g: ChannelGraph, r: int) -> dict[int, int]:
     frontier = deque([r])
     while frontier:
         w = frontier.popleft()
-        for v in g.neighbors(w):
-            if v not in hops and g.capacity(v, w) > 0:
+        for v in sorted(g.cap[w]):
+            if v not in hops and g.cap[v][w] > 0:
                 hops[v] = hops[w] + 1
                 frontier.append(v)
     return hops
@@ -200,7 +202,7 @@ class TestSinkDistanceWave:
         lines = [line.split() for line in buf.getvalue().splitlines()]
         wave = [(int(f[2]), int(f[3])) for f in lines if f[1] == "sink_distance"]
         # every node reaches r, and each forwards once to every channel neighbor
-        forwarding = {(v, w) for v in range(5) for w in example_graph.neighbors(v)}
+        forwarding = {(v, w) for v in range(5) for w in sorted(example_graph.cap[v])}
         assert len(wave) == len(forwarding) == 10
         assert set(wave) == forwarding
         assert out.messages_sent == len(lines)
@@ -243,12 +245,13 @@ class TestSinkDistanceWave:
         assert stepped.outcome() == out
 
 
+@pytest.fixture(scope="module")
+def drain_graph():
+    return generate_ba(BAConfig(n=100, m_attach=2, cap_range=(20, 100), seed=61))
+
+
 class TestGlobalRelabeling:
     """Deterministic counters: infeasible payments drain through epochs, feasible ones need none."""
-
-    @pytest.fixture(scope="class")
-    def drain_graph(self):
-        return generate_ba(BAConfig(n=100, m_attach=2, cap_range=(20, 100), seed=61))
 
     # (s, r, value) with max-flow 104, 114 and 152; each min cut leaves at
     # least half the network on the sender's side.  Before global
@@ -296,10 +299,15 @@ class TestGlobalRelabeling:
 
 
 
-def trace_digest(g: ChannelGraph, s: int, r: int, val: int, latency: str, seed: int):
+def trace_digest(
+    g: ChannelGraph, s: int, r: int, val: int, latency: str, seed: int, stepped: bool = False
+):
+    """run()'s outcome and the sha256 of its trace; with `stepped`, driven by step() first."""
     buf = io.StringIO()
-    out = run(g, s, r, val, SimConfig(seed=seed, latency=LatencyModel.parse(latency)), trace=buf)
-    return out, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    sim = Simulator(g, s, r, val, SimConfig(seed=seed, latency=LatencyModel.parse(latency)), buf)
+    while stepped and sim.step():
+        pass
+    return sim.run(), hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
 class TestPinnedSchedule:
@@ -314,20 +322,37 @@ class TestPinnedSchedule:
         _, digest = trace_digest(example_graph, S, R, 15, "uniform:1:10", 4)
         assert digest == "318ba5604ef0d2d7dd3e021c7763bee7b9c5c87390a9c19bfb8fc52bf30772ad"
 
-    def test_drain_payment_with_an_epoch(self):
-        g = generate_ba(BAConfig(n=100, m_attach=2, cap_range=(20, 100), seed=61))
-        out, digest = trace_digest(g, 53, 93, 143, "uniform:1:3", 0)
+    def test_worked_example_under_constant_delay(self, example_graph):
+        # every message takes 3 ticks, so most ticks carry no event
+        out, digest = trace_digest(example_graph, S, R, 15, "const:3", 0)
+        assert (out.delivered, out.simulated_time) == (15, 24)
+        assert digest == "e1962e6247fae8883c1fd26bd9a10102b01004b8129eb4c91f977280eba6f0ec"
+
+    def test_drain_payment_with_an_epoch(self, drain_graph):
+        out, digest = trace_digest(drain_graph, 53, 93, 143, "uniform:1:3", 0)
         assert out.global_relabels >= 1
         assert digest == "4201a96a07a47f450be6e02a8cb4cee3d15759a0deb1e7cf44a49aa97139be0f"
 
-    def test_payment_that_rolls_back_an_in_flight_push(self):
+    def test_drain_payment_under_wide_jitter(self, drain_graph):
+        # delays of 5 to 60 ticks over 13473 ticks: the event ring of 61
+        # slots wraps around over 200 times, and some ticks carry no event
+        out, digest = trace_digest(drain_graph, 53, 93, 143, "uniform:5:60", 0)
+        assert (out.global_relabels, out.messages_sent, out.simulated_time) == (1, 2642, 13473)
+        assert digest == "e6a7aa318148fa295b5d282311b17d93664715e502a74c6fb2f671cd628fff08"
+
+    def test_payment_that_rolls_back_an_in_flight_push(self, drain_graph):
         # one later epoch and 2601 messages.  Node 32 first hears the epoch-1
         # wave from node 0 while its push of 66 saturates the channel to 0,
         # so only the roll-back rule finds that residual edge.
-        g = generate_ba(BAConfig(n=100, m_attach=2, cap_range=(20, 100), seed=61))
-        out, digest = trace_digest(g, 22, 20, 189, "uniform:1:10", 196)
+        out, digest = trace_digest(drain_graph, 22, 20, 189, "uniform:1:10", 196)
         assert (out.global_relabels, out.messages_sent) == (1, 2601)
         assert digest == "d91828720440fbb98b2899dd6ab7386b257aa54df13de26d1ab835f666f9eb49"
+
+    def test_step_reproduces_run_on_the_roll_back_payment(self, drain_graph):
+        # step() returns mid-tick with activations still queued in the
+        # tick's slot, and must resume them in the order run() gives
+        ran = trace_digest(drain_graph, 22, 20, 189, "uniform:1:10", 196)
+        assert trace_digest(drain_graph, 22, 20, 189, "uniform:1:10", 196, stepped=True) == ran
 
 
 class TestPinnedPipeline:

@@ -20,7 +20,7 @@ def _connected(g) -> bool:
     queue = deque([0])
     while queue:
         v = queue.popleft()
-        for w in g.neighbors(v):
+        for w in g.cap[v]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
@@ -68,7 +68,7 @@ class TestGenerateBA:
         # hubs emerge: max degree well above the median
         for seed in range(5):
             g = generate_ba(BAConfig(n=300, m_attach=2, seed=seed))
-            degrees = [len(g.neighbors(v)) for v in range(g.n)]
+            degrees = [len(g.cap[v]) for v in range(g.n)]
             assert max(degrees) >= 3 * statistics.median(degrees)
 
     def test_too_few_nodes_rejected(self):
