@@ -90,26 +90,25 @@ class ChannelGraph:
 
     # -- mutation --------------------------------------------------------
 
-    def _check_node(self, v: NodeId) -> None:
-        if not 0 <= v < self.n:
-            raise PcnError(f"node {v} out of range 0..{self.n - 1}")
-
     def open_channel(self, u: NodeId, v: NodeId, cap_uv: Funds, cap_vu: Funds) -> ChannelId:
         """Insert a channel with capacity cap_uv for u->v and cap_vu for v->u."""
-        self._check_node(u)
-        self._check_node(v)
+        n = self.n
+        if not (0 <= u < n and 0 <= v < n):
+            bad = v if 0 <= u < n else u
+            raise PcnError(f"node {bad} out of range 0..{n - 1}")
         if u == v:
             raise SelfLoop(f"channel endpoints must differ, got {u}")
         if cap_uv < 0 or cap_vu < 0:
             raise NegativeCapacity(f"capacities must be >= 0, got {cap_uv}, {cap_vu}")
-        if u > v:
-            u, v, cap_uv, cap_vu = v, u, cap_vu, cap_uv
-        if v in self.cap[u]:
-            raise DuplicateChannel(f"channel {(u, v)} already open")
-        self.cap[u][v] = cap_uv
-        self.cap[v][u] = cap_vu
+        cid = (u, v) if u < v else (v, u)
+        cap = self.cap
+        out = cap[u]
+        if v in out:
+            raise DuplicateChannel(f"channel {cid} already open")
+        out[v] = cap_uv
+        cap[v][u] = cap_vu
         self.channel_count += 1
-        return (u, v)
+        return cid
 
 
 class FlowAssignment:

@@ -26,11 +26,9 @@ class ParseError(Exception):
         self.line_no = line_no
 
 
-def _content_lines(text: str):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield i, line
+def _content(raw: str) -> str:
+    """A line without its comment and surrounding whitespace."""
+    return raw.split("#", 1)[0].strip()
 
 
 def _int_field(line_no: int, token: str, what: str) -> int:
@@ -41,31 +39,43 @@ def _int_field(line_no: int, token: str, what: str) -> int:
 
 
 def loads_network(text: str) -> ChannelGraph:
+    lines = enumerate(text.splitlines(), start=1)
     g: ChannelGraph | None = None
-    for line_no, line in _content_lines(text):
-        fields = line.split()
-        if g is None:
+    for line_no, raw in lines:
+        line = _content(raw)
+        if line:
+            fields = line.split()
             if len(fields) != 2 or fields[0] != "pcn":
                 raise ParseError(line_no, f"expected 'pcn <n>' header, got {line!r}")
             n = _int_field(line_no, fields[1], "node count")
             if not 0 <= n <= MAX_NODES:
                 raise ParseError(line_no, f"node count must be in 0..{MAX_NODES}, got {n}")
             g = ChannelGraph(n)
+            break
+    if g is None:
+        raise ParseError(1, "empty network file")
+    open_channel = g.open_channel
+    for line_no, raw in lines:
+        line = _content(raw)
+        if not line:
             continue
+        fields = line.split()
         if fields[0] != "chan":
             raise ParseError(line_no, f"expected 'chan' record, got {fields[0]!r}")
         if len(fields) != 5:
             raise ParseError(line_no, f"expected 'chan <u> <v> <cap_uv> <cap_vu>', got {line!r}")
-        u = _int_field(line_no, fields[1], "node id")
-        v = _int_field(line_no, fields[2], "node id")
-        cap_uv = _int_field(line_no, fields[3], "capacity")
-        cap_vu = _int_field(line_no, fields[4], "capacity")
         try:
-            g.open_channel(u, v, cap_uv, cap_vu)
+            u, v, cap_uv, cap_vu = int(fields[1]), int(fields[2]), int(fields[3]), int(fields[4])
+        except ValueError:
+            # parse again field by field, which raises naming the first bad one
+            u, v, cap_uv, cap_vu = (
+                _int_field(line_no, token, what)
+                for token, what in zip(fields[1:], ("node id", "node id", "capacity", "capacity"))
+            )
+        try:
+            open_channel(u, v, cap_uv, cap_vu)
         except Exception as exc:
             raise ParseError(line_no, str(exc)) from None
-    if g is None:
-        raise ParseError(1, "empty network file")
     return g
 
 
@@ -92,7 +102,10 @@ def save_network(g: ChannelGraph, path: str | os.PathLike) -> None:
 def loads_workload(text: str, n: int) -> list[Transaction]:
     """Parse a workload for a network of n nodes; node ids must lie in 0..n-1."""
     txns: list[Transaction] = []
-    for line_no, line in _content_lines(text):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = _content(raw)
+        if not line:
+            continue
         fields = line.split()
         if fields[0] != "txn" or len(fields) != 4:
             raise ParseError(line_no, f"expected 'txn <s> <r> <val>', got {line!r}")

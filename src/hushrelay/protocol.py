@@ -20,20 +20,27 @@ Key rules:
   - labels and label caches only ever increase (stale updates are
     discarded); caches are fed by Accept/Nak payloads and LabelUpdate,
     SinkDistance and CutOff broadcasts;
-  - routing runs in numbered epochs.  Each starts with a breadth-first
-    SinkDistance wave from r that lifts every node it reaches to its hop
-    distance to r over residual channels (under jittered latency, the length
-    of the path the wave first arrived along), so excess heads toward r
-    instead of flooding from all-zero labels.  Once that wave has died out,
-    a CutOff wave from s lifts the nodes it did not reach, and from which
-    s can be reached, to n+2 plus their hop distance to the feeder, so
-    undeliverable excess drains back without climbing one relabel at a time.
+  - every payment starts from a valid labeling: each real node's label, and
+    its cache of each neighbor's, is that node's hop distance to r in the
+    public channel graph.  Residual channels are a subset of the public
+    ones, so no residual edge drops more than one label.  Where balances
+    make the residual distance longer, ordinary relabels repair the labels;
+  - routing runs in numbered epochs.  Epoch 1 runs on those labels with no
+    wave.  Each later epoch starts with a breadth-first SinkDistance wave
+    from r that lifts every node it reaches to its hop distance to r over
+    residual channels (under jittered latency, the length of the path the
+    wave first arrived along).  Once that wave has died out, a CutOff wave
+    from s lifts the nodes it did not reach, and from which s can be
+    reached, to n+2 plus their hop distance to the feeder, so undeliverable
+    excess drains back without climbing one relabel at a time.
 
 Routing an amount val attaches a virtual source feeding s exactly val and a
 virtual sink absorbing at most val from r.  Both are passive: they accept
 pushes but never originate any.  Undeliverable excess climbs labels until it
 drains back to the virtual source, so termination leaves every real node
-with zero excess.
+with zero excess.  A real node's state is built when it is first looked up,
+which in a run is when the first message reaches it: a payment costs the
+nodes it touches, plus one breadth-first search for the first labels.
 """
 
 from __future__ import annotations
@@ -146,8 +153,7 @@ class NodeState:
     # is reached
     heard: list[NodeId] | tuple = ()
     heard_epoch: int = 0
-    # accepts pushes, never originates one: a virtual endpoint, or s until
-    # the first SinkDistance wave reaches it or dies out
+    # accepts pushes, never originates one: a virtual endpoint
     passive: bool = False
     # real nodes in the network: under valid labels, a node labeled above n
     # cannot reach r
@@ -168,15 +174,80 @@ class RoutingOutcome:
     simulated_time: int
     # epochs started after the first, each by a fresh SinkDistance wave
     global_relabels: int = 0
+    # real nodes other than s and r that received any message: the states
+    # built beyond the four endpoints, so it holds only if nothing indexed
+    # the run's NodeStates before the outcome (see NodeStates)
+    informed_relays: int = 0
 
 
-def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> dict[NodeId, NodeState]:
-    """Build per-node states for routing val from s to r.
+def topology_labels(g: ChannelGraph, r: NodeId) -> list[int]:
+    """Each node's hop distance to r over the public channels, by one breadth-first search.
 
-    Virtual endpoints take ids n and n+1; their edges exist only in the node
-    states, never in the channel graph.  The virtual source starts at label
-    n+2 with the full amount already pushed to s; everything else starts at
-    label 0 with zero excess.
+    A node with no channel path to r takes n+3, one above the feeder: its
+    channels lead only to nodes that cannot reach r either, so any common
+    label keeps the labeling valid, and a source among them returns the
+    whole value to the feeder at once.
+    """
+    cap = g.cap
+    missed = g.n + 3
+    labels = [missed] * g.n
+    labels[r] = 0
+    frontier = [r]
+    hops = 0
+    while frontier:
+        hops += 1
+        reached = []
+        for w in frontier:
+            for v in cap[w]:
+                if labels[v] == missed:
+                    labels[v] = hops
+                    reached.append(v)
+        frontier = reached
+    return labels
+
+
+class NodeStates(dict):
+    """Node states by id; a real node's is built from the graph the first time it is looked up.
+
+    Iteration and `len` see only the states built so far.  In a run, the
+    simulator's dispatch is the only indexing, so the states built are the
+    endpoints plus the nodes that received a message, which is what
+    `RoutingOutcome.informed_relays` counts.  Indexing from outside builds
+    a state and raises that count: inspect with `get` or `in`, which build
+    nothing.
+    """
+
+    def __init__(self, g: ChannelGraph, labels: list[int]):
+        super().__init__()
+        self._cap = g.cap
+        self._labels = labels
+
+    def __missing__(self, v: NodeId) -> NodeState:
+        if not 0 <= v < len(self._labels):
+            raise KeyError(v)
+        labels = self._labels
+        cap = self._cap[v]
+        nbrs = sorted(cap)
+        st = self[v] = NodeState(
+            id=v,
+            label=labels[v],
+            edge_flow=dict.fromkeys(nbrs, 0),
+            cap=cap,
+            neighbor_labels={w: labels[w] for w in nbrs},
+            channel_neighbors=nbrs,
+            n=len(labels),
+        )
+        return st
+
+
+def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> NodeStates:
+    """Per-node states for routing val from s to r; only the four endpoints' are built here.
+
+    Every real node starts at its hop distance to r (`topology_labels`), and
+    so does its cache of each neighbor's label.  Virtual endpoints take ids
+    n and n+1; their edges exist only in the node states, never in the
+    channel graph.  The virtual source starts at label n+2 with the full
+    amount already pushed to s; every node starts with zero excess.
     """
     if s == r:
         raise SameSourceSink(f"source and sink must differ, got {s}")
@@ -186,17 +257,8 @@ def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> dict[Nod
         if not 0 <= v < g.n:
             raise ValueError(f"node {v} out of range 0..{g.n - 1}")
     sp, rp = g.n, g.n + 1
-    states: dict[NodeId, NodeState] = {}
-    for v, cap in enumerate(g.cap):
-        nbrs = sorted(cap)
-        states[v] = NodeState(
-            id=v,
-            edge_flow=dict.fromkeys(nbrs, 0),
-            cap=cap,
-            neighbor_labels=dict.fromkeys(nbrs, 0),
-            channel_neighbors=nbrs,
-            n=g.n,
-        )
+    labels = topology_labels(g, r)
+    states = NodeStates(g, labels)
 
     # s and r gain a virtual peer, so they get copies of the graph's dicts
     src, snk = states[s], states[r]
@@ -213,7 +275,7 @@ def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> dict[Nod
         label=g.n + 2,
         edge_flow={s: val},
         cap={s: val},
-        neighbor_labels={s: 0},
+        neighbor_labels={s: labels[s]},
         passive=True,
     )
     states[rp] = NodeState(
@@ -433,7 +495,7 @@ def check_node_invariants(v: NodeState, n: int) -> None:
 
 
 def extract_outcome(
-    states: dict[NodeId, NodeState],
+    states: NodeStates,
     n: int,
     s: NodeId,
     r: NodeId,
@@ -447,12 +509,14 @@ def extract_outcome(
     """Assemble the routing outcome from quiescent node states on n real nodes.
 
     Asserts the termination contract: zero excess everywhere except the
-    virtual endpoints, and mirrored per-edge ledgers.  The reported flow is
-    the netted ledger with circulation removed: excess bouncing between
-    nodes can leave zero-payment cycles in the raw ledgers, and the
-    canonical routing result is the acyclic flow those ledgers imply.  This
-    is the pipeline's one cycle-cancel pass: decomposition and the flow
-    report take the acyclic flow as given and reject circulation.
+    virtual endpoints, and mirrored per-edge ledgers.  It reads only the
+    states built so far and builds none: a node never looked up holds no
+    flow.  The reported flow is the netted ledger with circulation removed:
+    excess bouncing between nodes can leave zero-payment cycles in the raw
+    ledgers, and the canonical routing result is the acyclic flow those
+    ledgers imply.  This is the pipeline's one cycle-cancel pass:
+    decomposition and the flow report take the acyclic flow as given and
+    reject circulation.
     """
     sp, rp = n, n + 1
     for v, st in states.items():
@@ -468,11 +532,12 @@ def extract_outcome(
         )
     flow = FlowAssignment(s, r)
     # a zero entry is checked from its mirror, unless both are zero
-    for v in range(n):
+    for v in sorted(v for v in states if v < n):
         for w, f_vw in states[v].edge_flow.items():
             if f_vw == 0 or w >= n:
                 continue
-            mirrored = states[w].edge_flow[v]
+            mirror = states.get(w)
+            mirrored = mirror.edge_flow[v] if mirror is not None else 0
             if f_vw != -mirrored:
                 raise ProtocolError(
                     f"ledger mismatch on channel {(min(v, w), max(v, w))}: {f_vw} vs {-mirrored}"
@@ -487,4 +552,6 @@ def extract_outcome(
         relabels=relabels,
         simulated_time=simulated_time,
         global_relabels=global_relabels,
+        # every built state but s, r and the virtual endpoints received a message
+        informed_relays=len(states) - 4,
     )

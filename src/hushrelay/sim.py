@@ -7,16 +7,16 @@ delivery tick; a node activation is a local continuation and appends to the
 current tick's slot, which already holds every delivery for that tick.  So
 events run in (time, insertion-sequence) order, and identical inputs and
 configuration replay bit-identically.  Message latency comes from a seeded
-latency model.  Each run starts with the sink's SinkDistance wave; the
-source waits as a passive node until the wave reaches it, or until the wave
-dies out if no residual path to the sink exists.
+latency model.  Each run starts in epoch 1, with no wave: every node starts
+at its hop distance to the sink in the public channel graph, and the
+source's activation is queued at tick 0.
 
-Global relabeling: the dispatcher counts the wave messages in flight, so it
+Global relabeling: after 2n relabels since the last epoch began, and only
+once both waves of that epoch are gone, the sink starts the next epoch's
+SinkDistance wave.  The dispatcher counts the wave messages in flight, so it
 sees for free when a wave dies out (a deployment would pay one echo per
 wave message).  When an epoch's SinkDistance wave dies out, the source
-starts that epoch's CutOff wave.  After 2n relabels since the last epoch
-began, and only once both waves of that epoch are gone, the sink starts the
-next epoch's SinkDistance wave.
+starts that epoch's CutOff wave.
 
 The dispatcher is single-threaded; handlers only touch the addressed node,
 so a sharded dispatcher preserving per-node serial execution and per-edge
@@ -133,8 +133,6 @@ class Simulator:
         self.source, self.sink, self.value = s, r, val
         self._sp, self._rp = g.n, g.n + 1
         self.states = protocol.init_instance(g, s, r, val)
-        # s waits until the first wave reaches it or dies out (see _dispatch)
-        self.states[s].passive = True
         self._rng = random.Random(self.cfg.seed)
         self._trace = trace
         self.simulated_time = 0
@@ -150,13 +148,15 @@ class Simulator:
             if self.cfg.max_events is not None
             else 50 * (g.n + 2) ** 2 * (g.channel_count + 2)
         )
-        self.epoch = 0
         self.relabels = 0  # every relabel of the run, counted where it happens
-        wave = self._start_epoch(0)
-        for dest, m in wave:
-            self._slots[self.cfg.latency.sample(self._rng)].append((dest, m))
+        # epoch 1 runs on the topology labels, with no wave
+        self.epoch = 1
+        self._epoch_due = 2 * g.n
         # _waves: wave messages in flight
-        self.messages_sent = self._waves = len(wave)
+        self.messages_sent = self._waves = 0
+        # s is active from the start: its activation is the first event
+        self.states[s].wake_scheduled = True
+        self._slots[0].append((s, None))
 
     # -- global relabeling -------------------------------------------------
 
@@ -180,13 +180,11 @@ class Simulator:
         SinkDistance wave, or the next epoch's SinkDistance wave once due.
         """
         if kind is SinkDistance:
-            # release s if the wave never arrived, and let s start the
-            # CutOff wave as if the feeder sent it
+            # s starts the CutOff wave as if the feeder sent it
             src = self.states[self.source]
-            waiting, src.passive = src.passive, False
             label = src.label
             out = protocol.on_cut_off(src, CutOff(self._sp, self.graph.n + 2, self.epoch))
-            if (waiting or src.label != label) and src.excess > 0 and not src.wake_scheduled:
+            if src.label != label and src.excess > 0 and not src.wake_scheduled:
                 src.wake_scheduled = True
                 # _dispatch keeps simulated_time at the current tick
                 self._slots[self.simulated_time % len(self._slots)].append((self.source, None))
@@ -229,7 +227,6 @@ class Simulator:
         on_reply = protocol.on_reply
         on_sink_distance = protocol.on_sink_distance
         on_cut_off = protocol.on_cut_off
-        source = self.source
         waves = self._waves
         relabels = self.relabels
         done = 0
@@ -272,12 +269,9 @@ class Simulator:
                 if trace is not None:
                     self._trace_line(now, to, msg)
                 kind = type(msg)
-                # the waves first: on feasible payments the first wave is nearly all
                 if kind is SinkDistance or kind is CutOff:
                     if kind is SinkDistance:
                         out = on_sink_distance(st, msg)
-                        if out and to == source:
-                            st.passive = False  # the first wave reached s
                     else:
                         out = on_cut_off(st, msg)
                     waves += len(out) - 1
@@ -321,7 +315,10 @@ class Simulator:
         )
 
     def quiescent(self) -> bool:
-        """True iff nothing is queued, no push is unsettled and no real node is active."""
+        """True iff nothing is queued, no push is unsettled and no real node is active.
+
+        Walks only the states built so far: a node never reached holds nothing.
+        """
         if any(self._slots):
             return False
         return not any(st.pending or st.active for st in self.states.values())

@@ -65,7 +65,9 @@ def generate_ba(cfg: BAConfig) -> ChannelGraph:
     """Preferential-attachment channel graph, deterministic per seed."""
     cfg.validate()
     rng = random.Random(cfg.seed)
-    lo, hi = cfg.cap_range
+    # randrange(lo, stop) is what randint(lo, hi) calls: the same capacity
+    # draws, one call fewer each
+    lo, stop = cfg.cap_range[0], cfg.cap_range[1] + 1
     g = ChannelGraph(cfg.n)
     m = cfg.m_attach
     # one endpoint entry per edge end; sampling from it is degree-weighted
@@ -73,7 +75,7 @@ def generate_ba(cfg: BAConfig) -> ChannelGraph:
     # complete core
     for u in range(m):
         for v in range(u + 1, m):
-            g.open_channel(u, v, rng.randint(lo, hi), rng.randint(lo, hi))
+            g.open_channel(u, v, rng.randrange(lo, stop), rng.randrange(lo, stop))
             repeated.append(u)
             repeated.append(v)
     for new in range(m, cfg.n):
@@ -84,7 +86,7 @@ def generate_ba(cfg: BAConfig) -> ChannelGraph:
             else:
                 targets.add(rng.randrange(new))
         for t in sorted(targets):
-            g.open_channel(new, t, rng.randint(lo, hi), rng.randint(lo, hi))
+            g.open_channel(new, t, rng.randrange(lo, stop), rng.randrange(lo, stop))
         repeated.extend(targets)
         repeated.extend([new] * m)
     return g

@@ -3,7 +3,8 @@ from random import Random
 import pytest
 
 from hushrelay import report
-from hushrelay.graph import ChannelGraph, FlowAssignment
+from hushrelay.graph import ChannelGraph, FlowAssignment, Funds, NodeId
+from hushrelay.protocol import NodeStates, init_instance
 from hushrelay.report import ReportPacket, ReportRun
 
 # Worked five-node example used throughout: S=0, A=1, B=2, C=3, R=4.
@@ -24,6 +25,22 @@ def five_node_graph() -> ChannelGraph:
 @pytest.fixture
 def example_graph() -> ChannelGraph:
     return five_node_graph()
+
+
+def zero_labeled(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> NodeStates:
+    """init_instance's states, every real node's built, with all real labels and their caches at 0.
+
+    Handler tests derive their expectations by hand from these labels; a run
+    starts from hop distances to r instead.
+    """
+    states = init_instance(g, s, r, val)
+    for v in range(g.n):
+        st = states[v]
+        st.label = 0
+        for w in st.channel_neighbors:
+            st.neighbor_labels[w] = 0
+    states[g.n].neighbor_labels[s] = 0
+    return states
 
 
 def escrows(g: ChannelGraph) -> dict[tuple[int, int], int]:

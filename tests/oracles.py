@@ -1,4 +1,4 @@
-"""Test-only flow oracles: a second max-flow route, the min-cut certificate check and a flow check."""
+"""Test-only oracles: a second max-flow route, scipy's max-flow, the min-cut certificate check, a flow check and hop distances."""
 
 from __future__ import annotations
 
@@ -87,6 +87,28 @@ def feasible_flow_sequential(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) 
     return fa
 
 
+def scipy_max_flow(g: ChannelGraph, s: NodeId, r: NodeId) -> Funds:
+    """Max-flow value from scipy.sparse.csgraph, an oracle sharing no code with this package.
+
+    Raises ImportError when numpy or scipy is missing.
+    """
+    import numpy as np
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    arcs = np.array(
+        [
+            arc
+            for ch in g.channels()
+            for arc in ((ch.u, ch.v, ch.cap_forward), (ch.v, ch.u, ch.cap_backward))
+            if arc[2] > 0
+        ],
+        dtype=np.int32,
+    ).reshape(-1, 3)
+    matrix = sparse.csr_array((arcs[:, 2], (arcs[:, 0], arcs[:, 1])), shape=(g.n, g.n))
+    return int(csgraph.maximum_flow(matrix, s, r).flow_value)
+
+
 def residual_reachable(g: ChannelGraph, flow: FlowAssignment, s: NodeId) -> set[NodeId]:
     """Nodes reachable from s along residual edges; the min-cut certificate check."""
     seen = {s}
@@ -109,3 +131,16 @@ def validate_flow(flow: FlowAssignment, g: ChannelGraph) -> None:
     bad = flow.unbalanced()
     if bad:
         raise CapacityViolation(f"conservation broken: net inflow {bad}")
+
+
+def public_hops(g: ChannelGraph, r: NodeId) -> dict[NodeId, int]:
+    """Hop distance to r over every channel, whatever its capacities; nodes with no path are absent."""
+    hops = {r: 0}
+    frontier = deque([r])
+    while frontier:
+        w = frontier.popleft()
+        for v in g.cap[w]:
+            if v not in hops:
+                hops[v] = hops[w] + 1
+                frontier.append(v)
+    return hops

@@ -46,13 +46,15 @@ class TestRunTxn:
         assert after == before
 
     def test_budget_exhausted_row_keeps_partial_counters(self, monkeypatch, example_graph):
-        # 27 events: the whole 15 has reached the virtual sink, but its
-        # Accept is still in flight (the full run takes 29 events)
-        monkeypatch.setattr(bench, "SimConfig", functools.partial(SimConfig, max_events=27))
+        # the full run is 19 events (13 deliveries, 6 activations), the last
+        # the virtual sink's Accept at t=5.  A budget of 17 stops after 18:
+        # the whole 15 has reached the virtual sink at t=4 after R's one
+        # relabel, and that Accept is still in flight
+        monkeypatch.setattr(bench, "SimConfig", functools.partial(SimConfig, max_events=17))
         row = run_txn(example_graph, 0, Transaction(0, 4, 15), 0, LatencyModel.constant(1))
         assert row.error == "event_budget_exhausted"
         assert not row.success
-        assert (row.delivered, row.messages, row.simulated_ttr, row.relabels) == (15, 23, 7, 1)
+        assert (row.delivered, row.messages, row.simulated_ttr, row.relabels) == (15, 13, 4, 1)
 
 
 class TestRunBench:

@@ -154,7 +154,8 @@ class TestCancelCycles:
             sim.run()
             raw = FlowAssignment(s, r)
             for ch in g.channels():
-                f_uv = sim.states[ch.u].edge_flow[ch.v]
+                st = sim.states.get(ch.u)  # a node no message reached has no flow
+                f_uv = st.edge_flow[ch.v] if st else 0
                 if f_uv:
                     raw.add(ch.u, ch.v, f_uv)
             if has_cycle(raw):

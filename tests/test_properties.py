@@ -15,7 +15,7 @@ from hushrelay.sim import LatencyModel, SimConfig, Simulator
 from hushrelay.topology import BAConfig, generate_ba
 
 from .conftest import escrows, reversed_flow
-from .oracles import feasible_flow_sequential, validate_flow
+from .oracles import feasible_flow_sequential, scipy_max_flow, validate_flow
 
 
 ba_configs = st.builds(
@@ -55,24 +55,6 @@ def test_oracle_flow_satisfies_all_constraints(cfg, pick):
     assert res.flow.value == res.max_value
     for (v, w), a in res.flow.positive_edges().items():
         assert g.cap[v].get(w, 0) - a >= 0
-
-
-def scipy_max_flow(g, s, r):
-    """Max-flow value from scipy.sparse.csgraph, a third oracle sharing no code with this package."""
-    np = pytest.importorskip("numpy")
-    sparse = pytest.importorskip("scipy.sparse")
-    csgraph = pytest.importorskip("scipy.sparse.csgraph")
-    arcs = np.array(
-        [
-            arc
-            for ch in g.channels()
-            for arc in ((ch.u, ch.v, ch.cap_forward), (ch.v, ch.u, ch.cap_backward))
-            if arc[2] > 0
-        ],
-        dtype=np.int32,
-    ).reshape(-1, 3)
-    matrix = sparse.csr_array((arcs[:, 2], (arcs[:, 0], arcs[:, 1])), shape=(g.n, g.n))
-    return int(csgraph.maximum_flow(matrix, s, r).flow_value)
 
 
 def test_oracle_and_routing_match_scipy_maximum_flow():

@@ -21,9 +21,12 @@ from hushrelay.protocol import (
     on_reply,
     on_sink_distance,
 )
+from hushrelay.graph import ChannelGraph
 from hushrelay.sim import SimConfig, Simulator, run
+from hushrelay.topology import BAConfig, generate_ba
 
-from .conftest import A, B, C, R, S, five_node_graph
+from .conftest import A, B, C, R, S, five_node_graph, zero_labeled
+from .oracles import public_hops
 
 SP, RP = 5, 6  # virtual endpoints for the five-node example
 
@@ -33,9 +36,36 @@ class TestInitInstance:
         states = init_instance(example_graph, S, R, 15)
         assert states[SP].label == 7
 
-    def test_all_real_labels_start_at_zero(self, example_graph):
+    @pytest.mark.parametrize("pick", range(4))
+    def test_labels_and_caches_are_public_hop_distances(self, pick):
+        # a BA network with zero-capacity directions, plus a path 150-151-152
+        # and a lone node 153 that have no channel to it: those take n+3
+        ba = generate_ba(BAConfig(n=150, m_attach=1 + pick % 3, cap_range=(0, 3), seed=pick))
+        g = ChannelGraph(154)
+        for ch in ba.channels():
+            g.open_channel(*ch)
+        g.open_channel(150, 151, 0, 4)
+        g.open_channel(151, 152, 2, 2)
+        s, r = 3 * pick + 1, 7 * pick + 2
+        states = init_instance(g, s, r, 5)
+        hops = public_hops(g, r)
+        assert max(hops.values()) >= 3
+        label = [hops.get(v, g.n + 3) for v in range(g.n)]
+        for v in range(g.n):
+            st = states[v]
+            assert st.label == label[v], v
+            real_cache = {w: c for w, c in st.neighbor_labels.items() if w < g.n}
+            assert real_cache == {w: label[w] for w in g.cap[v]}, v
+        assert states[g.n].neighbor_labels == {s: label[s]}  # the feeder's cache
+
+    def test_only_the_endpoints_are_built(self, example_graph):
         states = init_instance(example_graph, S, R, 15)
-        assert all(states[v].label == 0 for v in range(5))
+        assert sorted(states) == [S, R, SP, RP]
+        assert states[C].label == 1  # looked up: built
+        assert sorted(states) == [S, C, R, SP, RP]
+        assert states.get(A) is None and A not in states
+        with pytest.raises(KeyError):
+            states[RP + 1]
 
     def test_source_holds_the_full_value(self, example_graph):
         states = init_instance(example_graph, S, R, 15)
@@ -63,7 +93,7 @@ class TestInitInstance:
 
 class TestOnActivate:
     def test_source_pushes_by_ascending_neighbor_id(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[S]
         st.label = 1  # as after its first relabel
         out = on_activate(st)
@@ -75,12 +105,12 @@ class TestOnActivate:
         assert st.edge_flow[A] == 10 and st.edge_flow[B] == 5
 
     def test_inactive_node_emits_nothing(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         assert not on_activate(states[C])
 
     def test_stuck_node_relabels(self, example_graph):
         # every neighbor cached at or above our label forces a relabel
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[C]
         st.excess = 5
         st.neighbor_labels = {A: 1, B: 1, R: 1}
@@ -90,7 +120,7 @@ class TestOnActivate:
         assert out == [(w, LabelUpdate(C, 2)) for w in (A, B, R)]
 
     def test_no_relabel_while_pushes_in_flight(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[S]
         st.label = 1
         on_activate(st)  # saturates A and B, both now in flight
@@ -99,7 +129,7 @@ class TestOnActivate:
         assert st.label == 1
 
     def test_busy_edge_not_pushed_twice(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[S]
         st.label = 1
         first = on_activate(st)
@@ -109,7 +139,7 @@ class TestOnActivate:
         assert not on_activate(st)
 
     def test_passive_endpoints_never_push(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         states[SP].excess = 5
         states[RP].excess = 5
         assert not on_activate(states[SP])
@@ -118,7 +148,7 @@ class TestOnActivate:
 
 class TestOnPushRequest:
     def test_equal_labels_nak(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[C]
         st.label = 1
         [(dest, reply)] = on_push_request(st, PushRequest(B, 1, 5, 1))
@@ -128,7 +158,7 @@ class TestOnPushRequest:
         assert st.excess == 0 and st.edge_flow[B] == 0
 
     def test_lower_label_accepts_and_applies(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[R]
         [(dest, reply)] = on_push_request(st, PushRequest(C, 4, 10, 1))
         assert dest == C
@@ -137,7 +167,7 @@ class TestOnPushRequest:
         assert st.edge_flow[C] == -10
 
     def test_virtual_sink_accepts_without_forwarding(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[RP]
         [(_, reply)] = on_push_request(st, PushRequest(R, 9, 10, 1))
         assert type(reply) is Accept
@@ -145,14 +175,14 @@ class TestOnPushRequest:
         assert not st.active  # passive role: gains excess but never activates
 
     def test_unknown_sender_rejected(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         with pytest.raises(UnknownNeighbor):
             on_push_request(states[A], PushRequest(B, 2, 5, 1))
 
 
 class TestOnReply:
     def _pushed_source(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[S]
         st.label = 1
         out = on_activate(st)
@@ -181,7 +211,7 @@ class TestOnReply:
         assert st.neighbor_labels[A] == 3
 
     def test_unknown_request_id_is_fatal(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         with pytest.raises(UnknownRequestId):
             on_reply(states[S], Accept(A, 424242, 1, 0))
 
@@ -206,7 +236,7 @@ class TestOnReply:
 
 class TestRelabel:
     def test_min_plus_one_over_residual_neighbors(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[B]
         st.excess = 5
         st.label = 1
@@ -217,7 +247,7 @@ class TestRelabel:
         assert update.new_label == 2
 
     def test_single_low_neighbor_gives_label_one(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[A]
         st.excess = 1
         update = protocol.relabel(st)
@@ -229,7 +259,7 @@ class TestRelabel:
         g = ChannelGraph(3)
         g.open_channel(0, 1, 5, 0)
         g.open_channel(1, 2, 5, 0)
-        states = init_instance(g, 0, 2, 5)
+        states = zero_labeled(g, 0, 2, 5)
         st = states[1]
         st.excess = 3  # impossible state: excess with no residual edge anywhere
         st.edge_flow[0] = 0
@@ -240,26 +270,26 @@ class TestRelabel:
 
 class TestOnLabelUpdate:
     def test_first_update_sets_cache(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         on_label_update(states[C], LabelUpdate(A, 2))
         assert states[C].neighbor_labels[A] == 2
 
     def test_stale_lower_value_discarded(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[C]
         on_label_update(st, LabelUpdate(A, 4))
         on_label_update(st, LabelUpdate(A, 2))
         assert st.neighbor_labels[A] == 4
 
     def test_non_neighbor_rejected(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         with pytest.raises(UnknownNeighbor):
             on_label_update(states[A], LabelUpdate(B, 1))
 
 
 class TestOnSinkDistance:
     def test_first_wave_over_residual_edge_adopted_and_forwarded(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         out = on_sink_distance(states[C], SinkDistance(R, 0, 1))
         assert states[C].label == 1
         assert [(dest, m.sender, m.label) for dest, m in out] == [
@@ -269,7 +299,7 @@ class TestOnSinkDistance:
         ]
 
     def test_adopted_only_once(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[C]
         on_sink_distance(st, SinkDistance(R, 0, 1))
         assert not on_sink_distance(st, SinkDistance(R, 4, 1))
@@ -277,7 +307,7 @@ class TestOnSinkDistance:
         assert st.neighbor_labels[R] == 4  # the cache still learns
 
     def test_never_adopted_across_zero_capacity(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[A]  # channel S-A has no capacity from A toward S
         assert not on_sink_distance(st, SinkDistance(S, 3, 1))
         assert st.label == 0 and not st.reached
@@ -287,7 +317,7 @@ class TestOnSinkDistance:
         assert st.label == 2
 
     def test_never_lowers_a_cached_label(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[C]
         st.neighbor_labels[R] = 5
         on_sink_distance(st, SinkDistance(R, 0, 1))
@@ -295,7 +325,7 @@ class TestOnSinkDistance:
         assert st.label == 1
 
     def test_never_lowers_own_label(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[C]
         st.label = 4  # relabeled before the wave arrived
         out = on_sink_distance(st, SinkDistance(R, 0, 1))
@@ -303,13 +333,13 @@ class TestOnSinkDistance:
         assert {m.label for _, m in out} == {1}  # the hop distance, not the label
 
     def test_non_neighbor_rejected(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         with pytest.raises(UnknownNeighbor):
             on_sink_distance(states[A], SinkDistance(B, 1, 1))
 
 
     def test_own_in_flight_push_counted_as_rolled_back(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[A]
         st.excess, st.label = 10, 1
         (dest, push), = on_activate(st)  # saturates A->C while in flight
@@ -318,7 +348,7 @@ class TestOnSinkDistance:
         assert st.reached == 2 and st.label == 2
 
     def test_unadopted_senders_remembered_until_reached(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[A]
         on_sink_distance(st, SinkDistance(S, 3, 2))  # no capacity from A toward S
         assert st.heard == [S] and st.heard_epoch == 2
@@ -328,7 +358,7 @@ class TestOnSinkDistance:
 
 class TestRefusal:
     def test_cut_off_node_refuses_a_neighbor_that_reaches_r(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[A]
         on_sink_distance(st, SinkDistance(S, 3, 2))
         out = on_push_request(st, PushRequest(S, 0, 5, 4))
@@ -337,14 +367,14 @@ class TestRefusal:
 
     def test_sender_above_n_is_not_refused(self, example_graph):
         # under valid labels a node above n cannot reach r any more
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[A]
         on_sink_distance(st, SinkDistance(S, 3, 2))
         out = on_push_request(st, PushRequest(S, 0, 5, 6))
         assert out == ((S, Accept(A, 0, 5, 0)),)
 
     def test_reached_node_accepts_again(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[A]
         on_sink_distance(st, SinkDistance(S, 3, 2))
         on_sink_distance(st, SinkDistance(C, 1, 2))
@@ -354,14 +384,14 @@ class TestRefusal:
 
 class TestOnCutOff:
     def test_lifts_unreached_node_and_forwards_its_level(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[A]
         out = on_cut_off(st, CutOff(C, 9, 2))
         assert st.label == 10 and st.cut_off == 2
         assert out == [(S, CutOff(A, 10, 2)), (C, CutOff(A, 10, 2))]
 
     def test_taken_once_per_epoch_but_always_cached(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[C]
         on_cut_off(st, CutOff(R, 9, 2))
         assert not on_cut_off(st, CutOff(R, 12, 2))
@@ -370,7 +400,7 @@ class TestOnCutOff:
         assert st.label == 13
 
     def test_never_lowers_own_label(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[C]
         st.label = 20
         out = on_cut_off(st, CutOff(R, 9, 2))
@@ -378,20 +408,20 @@ class TestOnCutOff:
         assert {m.label for _, m in out} == {10}
 
     def test_node_reached_this_epoch_only_caches(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[C]
         on_sink_distance(st, SinkDistance(R, 0, 2))
         assert not on_cut_off(st, CutOff(A, 9, 2))
         assert st.label == 1 and st.neighbor_labels[A] == 9
 
     def test_never_taken_across_zero_capacity(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[A]  # no capacity from A toward S
         assert not on_cut_off(st, CutOff(S, 9, 2))
         assert st.label == 0 and st.cut_off == 0
 
     def test_blocked_by_residual_toward_a_node_that_reached_r(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         st = states[A]
         on_sink_distance(st, SinkDistance(S, 3, 2))
         st.edge_flow[S] = -5  # S has since pushed 5 into A: A can reach S now
@@ -399,7 +429,7 @@ class TestOnCutOff:
         assert st.label == 0
 
     def test_non_neighbor_rejected(self, example_graph):
-        states = init_instance(example_graph, S, R, 15)
+        states = zero_labeled(example_graph, S, R, 15)
         with pytest.raises(UnknownNeighbor):
             on_cut_off(states[A], CutOff(B, 9, 2))
 

@@ -1,13 +1,12 @@
 import hashlib
 import io
-from collections import deque
 
 import pytest
 
-from hushrelay import cli
+from hushrelay import cli, protocol
 from hushrelay.graph import ChannelGraph
 from hushrelay.netfile import dumps_network, loads_network
-from hushrelay.protocol import ProtocolError
+from hushrelay.protocol import Nak, NodeStates, ProtocolError
 from hushrelay.sim import (
     EventBudgetExhausted,
     LatencyModel,
@@ -17,7 +16,8 @@ from hushrelay.sim import (
 )
 from hushrelay.topology import BAConfig, generate_ba
 
-from .conftest import R, S
+from .conftest import A, B, R, S
+from .oracles import public_hops
 
 
 class TestLatencyModel:
@@ -105,12 +105,20 @@ class TestRun:
 
     def test_simulated_time_is_last_delivery(self, example_graph):
         out = run(example_graph, S, R, 15, SimConfig(seed=0))
-        # hand-checked constant-latency schedule: the sink-distance wave
-        # reaches C at t=1, A and B at t=2 and S at t=3, where S pushes 10/5
-        # to A/B (t=4); A and B push to C (t=5), C pushes 15 to R (t=6); R
-        # accepts at label 0, relabels to 1 and pushes to the virtual sink
-        # (t=7), whose Accept arrives at t=8
-        assert out.simulated_time == 8
+        # hand-checked constant-latency schedule: S starts at its hop
+        # distance 3 and pushes 10/5 to A/B (labels 2) at t=0; they arrive at
+        # t=1, and A and B push to C (label 1), arriving at t=2; C pushes 15
+        # to R (t=3); R accepts at label 0, relabels to 1 and pushes to the
+        # virtual sink (t=4), whose Accept arrives at t=5
+        assert out.simulated_time == 5
+
+    def test_source_pushes_at_tick_zero(self, example_graph):
+        # no wave to wait for: the first event is S's activation, which
+        # pushes along its hop distances before any message is delivered
+        sim = Simulator(example_graph, S, R, 15, SimConfig(seed=0))
+        assert sim.step()
+        assert (sim.simulated_time, sim.messages_sent, sim.messages_delivered) == (0, 2, 0)
+        assert sim.states[S].pending == {A: (0, 10), B: (1, 5)}
 
 
 class TestQuiescent:
@@ -126,7 +134,7 @@ class TestQuiescent:
     def test_false_with_reply_in_flight(self, example_graph):
         sim = Simulator(example_graph, S, R, 15, SimConfig(seed=0))
         # step until the first push request has been applied at the sender
-        while not any(sim.states[v].pending for v in range(5)):
+        while not any(st.pending for st in sim.states.values()):
             assert sim.step()
         assert not sim.quiescent()
 
@@ -162,79 +170,68 @@ class TestDeterminism:
         assert delivered == {20}
 
 
-def sink_hops(g: ChannelGraph, r: int) -> dict[int, int]:
-    """Hop distance to r over channel directions with positive capacity toward r."""
-    hops = {r: 0}
-    frontier = deque([r])
-    while frontier:
-        w = frontier.popleft()
-        for v in sorted(g.cap[w]):
-            if v not in hops and g.cap[v][w] > 0:
-                hops[v] = hops[w] + 1
-                frontier.append(v)
-    return hops
+def bridged_graph(n_far: int, n_near: int, seed: int) -> ChannelGraph:
+    """A BA network 0..n_far-1 (capacities 20-100) and a ring of n_near nodes (50 each way), joined by one channel of 5."""
+    ba = generate_ba(BAConfig(n=n_far, m_attach=2, cap_range=(20, 100), seed=seed))
+    g = ChannelGraph(n_far + n_near)
+    for ch in ba.channels():
+        g.open_channel(*ch)
+    for i in range(n_near):
+        g.open_channel(n_far + i, n_far + (i + 1) % n_near, 50, 50)
+    g.open_channel(n_far, 0, 5, 5)
+    return g
 
 
 class TestSinkDistanceWave:
     @pytest.mark.parametrize("pick", range(6))
     def test_unrelabeled_labels_are_hop_distances(self, pick):
-        # zero-capacity directions make the residual distances differ from
-        # plain graph distances, and leave some nodes unable to reach r
+        # zero-capacity directions make some residual distances longer than
+        # the public hop distances the labels start from; relabels repair
+        # those, and every other node keeps its first label
         g = generate_ba(BAConfig(n=150, m_attach=2, cap_range=(0, 3), seed=pick))
         s, r = 3 * pick + 1, 7 * pick + 2
         buf = io.StringIO()
         sim = Simulator(g, s, r, 2, SimConfig(seed=pick), trace=buf)
-        sim.run()
-        hops = sink_hops(g, r)
+        assert sim.run().global_relabels == 0  # no wave lifted a label
+        hops = public_hops(g, r)
+        lines = [line.split() for line in buf.getvalue().splitlines()]
+        # a node other than s does nothing before its first message arrives,
+        # so the label that message finds (d_to) is its first label
+        first = {}
+        for f in lines:
+            first.setdefault(int(f[3]), int(f[6].removeprefix("d_to=")))
+        relays = [v for v in first if v < g.n and v != s]
+        assert {v: first[v] for v in relays} == {v: hops[v] for v in relays}
         # every relabel broadcasts a label_update to each channel neighbor
-        lines = [line.split() for line in buf.getvalue().splitlines()]
         relabeled = {int(f[2]) for f in lines if f[1] == "label_update"}
-        unrelabeled = [v for v in range(g.n) if v not in relabeled]
-        assert len(unrelabeled) > g.n // 2
-        assert any(v not in hops for v in unrelabeled)
+        unrelabeled = [v for v in sim.states if v < g.n and v not in relabeled]
+        assert len(unrelabeled) > len(relabeled)
         for v in unrelabeled:
-            assert sim.states[v].label == hops.get(v, 0), v
+            assert sim.states[v].label == hops[v], v
 
-    def test_one_trace_line_per_forwarding_edge(self, example_graph):
+    def test_one_trace_line_per_forwarding_edge(self):
+        # 30 units from the ring to node 9 cross the 5-unit bridge, so the
+        # epoch-2 wave reaches every node of the BA side and no ring node
+        g = bridged_graph(10, 4, 1)
         buf = io.StringIO()
-        sim = Simulator(example_graph, S, R, 15, SimConfig(seed=0), trace=buf)
+        sim = Simulator(g, 12, 9, 30, SimConfig(seed=0), trace=buf)
         out = sim.run()
+        assert (out.delivered, out.global_relabels) == (5, 1)
         lines = [line.split() for line in buf.getvalue().splitlines()]
-        wave = [(int(f[2]), int(f[3])) for f in lines if f[1] == "sink_distance"]
-        # every node reaches r, and each forwards once to every channel neighbor
-        forwarding = {(v, w) for v in range(5) for w in sorted(example_graph.cap[v])}
-        assert len(wave) == len(forwarding) == 10
-        assert set(wave) == forwarding
+        wave = sorted((int(f[2]), int(f[3])) for f in lines if f[1] == "sink_distance")
+        reached = [v for v in sim.states if v < g.n and sim.states[v].reached == 2]
+        assert sorted(reached) == [*range(10)]
+        # each reached node forwards once to every channel neighbor: 34 lines
+        # inside the BA side, and one over the bridge
+        forwarding = sorted((v, w) for v in range(10) for w in g.cap[v])
+        assert wave == forwarding
+        assert len(wave) == 2 * 17 + 1
         assert out.messages_sent == len(lines)
 
-    def test_source_waits_for_the_wave(self):
-        # S hears the wave first from X, over a channel with no capacity from
-        # S toward X, and only later over its residual path S-A-B-R
-        s, x, a, b, r = range(5)
-        g = ChannelGraph(5)
-        g.open_channel(r, x, 10, 10)
-        g.open_channel(s, x, 0, 10)
-        g.open_channel(s, a, 10, 10)
-        g.open_channel(a, b, 10, 10)
-        g.open_channel(b, r, 10, 10)
-        buf = io.StringIO()
-        sim = Simulator(g, s, r, 5, SimConfig(seed=0), trace=buf)
-        src = sim.states[s]
-        heard_early = False
-        while not src.reached:
-            # only s holds excess, so nothing may push or relabel yet
-            assert src.next_request == 0 and sim.relabels == 0
-            heard_early |= src.neighbor_labels[x] > 0
-            assert sim.step()
-        assert heard_early
-        traced = [line.split()[1:3] for line in buf.getvalue().splitlines()]
-        assert ["label_update", str(s)] not in traced
-        assert src.label == 3
-        assert sim.run().delivered == 5
-
     def test_unreached_source_drains_back_under_run_and_step(self, example_graph):
-        # every channel has zero capacity toward S, so no wave reaches R; R is
-        # woken once the network goes quiet, by run() and step() alike
+        # every channel has zero capacity toward S, so R has no residual
+        # channel and returns everything to the feeder, by run() and step()
+        # alike
         out = run(example_graph, R, S, 15, SimConfig(seed=0))
         assert out.delivered == 0
         assert out.returned == 15
@@ -243,6 +240,42 @@ class TestSinkDistanceWave:
             pass
         assert stepped.quiescent()
         assert stepped.outcome() == out
+
+
+class TestLazyStates:
+    def test_feasible_desk_scale_payment_builds_few_states(self, monkeypatch):
+        # a `small`-like payment: 33 units, 20 messages
+        g = generate_ba(BAConfig(n=1000, m_attach=2, cap_range=(20, 100), seed=61))
+        sim = Simulator(g, 637, 261, 33, SimConfig(seed=0))
+        out = sim.run()
+        assert (out.delivered, out.messages_sent, out.informed_relays) == (33, 20, 8)
+        # 8 relays, s, r and the virtual endpoints, of 1002
+        assert len(sim.states) == 12
+        built = dict(sim.states)
+
+        def build(states, v):
+            raise AssertionError(f"built the state of node {v}")
+
+        monkeypatch.setattr(NodeStates, "__missing__", build)
+        assert sim.outcome() == out
+        assert sim.quiescent()
+        assert sim.states == built
+
+    @pytest.mark.parametrize("graph, s, r, val, latency, expected", [
+        ("example", S, R, 15, "const:1", 3),
+        # above max-flow: the later epoch's waves reach every relay
+        ("drain", 22, 20, 189, "uniform:1:10", 98),
+    ])
+    def test_informed_relays_are_the_distinct_receivers(
+        self, example_graph, drain_graph, graph, s, r, val, latency, expected
+    ):
+        g = example_graph if graph == "example" else drain_graph
+        buf = io.StringIO()
+        cfg = SimConfig(seed=196, latency=LatencyModel.parse(latency))
+        out = run(g, s, r, val, cfg, trace=buf)
+        receivers = {int(line.split()[3]) for line in buf.getvalue().splitlines()}
+        informed = receivers - {s, r} - {g.n, g.n + 1}
+        assert out.informed_relays == len(informed) == expected
 
 
 @pytest.fixture(scope="module")
@@ -274,28 +307,45 @@ class TestGlobalRelabeling:
         assert out.delivered == 49
         assert out.global_relabels == 0
 
-    def test_every_wave_message_is_counted_and_traced(self, drain_graph):
+    def test_every_wave_message_is_counted_and_traced(self):
+        # 30 units from the ring to node 29 cross the 5-unit bridge; the
+        # epoch-2 wave reaches all 30 nodes of the BA side, and each forwards
+        # to all its channel neighbors: 2 * 57 messages inside, one over the
+        # bridge.  The cut-off wave then lifts the ring the same way: 2 * 8
+        # messages inside, one over the bridge.
+        g = bridged_graph(30, 8, 1)
         buf = io.StringIO()
-        out = run(drain_graph, 53, 93, 143, SimConfig(seed=0), trace=buf)
+        out = run(g, 34, 29, 30, SimConfig(seed=0), trace=buf)
         kinds = [line.split()[1] for line in buf.getvalue().splitlines()]
         assert len(kinds) == out.messages_sent
-        assert "cut_off" in kinds
-        # the first wave reaches every node, and each forwards to all its
-        # channel neighbors: 2m messages; the later epochs' waves add more
-        assert out.global_relabels >= 1
-        assert kinds.count("sink_distance") > 2 * drain_graph.channel_count
+        assert out.global_relabels == 1
+        assert kinds.count("sink_distance") == 2 * 57 + 1
+        assert kinds.count("cut_off") == 2 * 8 + 1
 
-    def test_cut_off_region_never_regains_a_path_to_r(self):
-        # Without the refusal rule, node 30, which the epoch-2 wave missed,
-        # accepted a push from node 19, which the wave reached.  Node 29 had
-        # already taken a cut-off level over its residual channel to 30, so
-        # the path 21 -> 10 -> 29 -> 30 -> 19 -> ... -> 28 stayed open behind
-        # labels above the feeder's, and the source returned 3 units that
-        # could still have been delivered.
+    def test_cut_off_region_never_regains_a_path_to_r(self, monkeypatch):
+        # The refusal rule exists for this network: when every payment
+        # opened with a wave, routing 54 from 21 to 28 without it let node
+        # 30, which the epoch-2 wave missed, accept a push from node 19,
+        # which the wave reached, after node 29 had taken a cut-off level
+        # over its residual channel to 30; the source returned 3 units that
+        # could still have been delivered.  Routing 28 from 34 to 28 runs two
+        # later epochs, and nodes 25 and 36, which the last wave missed,
+        # refuse 15 pushes from nodes 30 and 17, which it reached.
+        refused = []
+        handler = protocol.on_push_request
+
+        def watch(v, m):
+            out = handler(v, m)
+            if type(out[0][1]) is Nak and v.label < m.sender_label:
+                refused.append((v.id, m.sender))
+            return out
+
+        monkeypatch.setattr(protocol, "on_push_request", watch)
         g = loads_network(CUT_OFF_RACE_NET)
-        out = run(g, 21, 28, 54, SimConfig(seed=0))
-        assert out.global_relabels >= 1
-        assert out.delivered == 15 and out.returned == 39
+        out = run(g, 34, 28, 28, SimConfig(seed=0))
+        assert out.global_relabels == 2
+        assert sorted(set(refused)) == [(25, 30), (36, 17)] and len(refused) == 15
+        assert out.delivered == 4 and out.returned == 24
 
 
 
@@ -320,39 +370,42 @@ class TestPinnedSchedule:
     def test_worked_example_under_jitter(self, example_graph):
         # criterion 9's route command
         _, digest = trace_digest(example_graph, S, R, 15, "uniform:1:10", 4)
-        assert digest == "318ba5604ef0d2d7dd3e021c7763bee7b9c5c87390a9c19bfb8fc52bf30772ad"
+        assert digest == "b4e0971171f83d0bbe0480d02975530cf751783b2e1ea8141f8e351217034004"
 
     def test_worked_example_under_constant_delay(self, example_graph):
-        # every message takes 3 ticks, so most ticks carry no event
+        # every message takes 3 ticks, so most ticks carry no event: S -> A
+        # -> C -> R -> virtual sink, and that Accept, are five hops
         out, digest = trace_digest(example_graph, S, R, 15, "const:3", 0)
-        assert (out.delivered, out.simulated_time) == (15, 24)
-        assert digest == "e1962e6247fae8883c1fd26bd9a10102b01004b8129eb4c91f977280eba6f0ec"
+        assert (out.delivered, out.simulated_time) == (15, 15)
+        assert digest == "ddc59027662f6905a7e358a3c682b104fb875a662736122a84dddb9227f5eab7"
 
     def test_drain_payment_with_an_epoch(self, drain_graph):
         out, digest = trace_digest(drain_graph, 53, 93, 143, "uniform:1:3", 0)
-        assert out.global_relabels >= 1
-        assert digest == "4201a96a07a47f450be6e02a8cb4cee3d15759a0deb1e7cf44a49aa97139be0f"
+        assert (out.global_relabels, out.messages_sent) == (1, 2118)
+        assert digest == "5ce61bf9ffbc88563d08a1d3712f5e9881856ec34f5f5cb09ec798220ea2544b"
 
     def test_drain_payment_under_wide_jitter(self, drain_graph):
-        # delays of 5 to 60 ticks over 13473 ticks: the event ring of 61
+        # delays of 5 to 60 ticks over 12801 ticks: the event ring of 61
         # slots wraps around over 200 times, and some ticks carry no event
         out, digest = trace_digest(drain_graph, 53, 93, 143, "uniform:5:60", 0)
-        assert (out.global_relabels, out.messages_sent, out.simulated_time) == (1, 2642, 13473)
-        assert digest == "e6a7aa318148fa295b5d282311b17d93664715e502a74c6fb2f671cd628fff08"
+        assert (out.global_relabels, out.messages_sent, out.simulated_time) == (1, 2142, 12801)
+        assert digest == "96efc10fccb9d22540472ac260c160cf5e3c9159b0f6891268f18af5a235336c"
 
-    def test_payment_that_rolls_back_an_in_flight_push(self, drain_graph):
-        # one later epoch and 2601 messages.  Node 32 first hears the epoch-1
-        # wave from node 0 while its push of 66 saturates the channel to 0,
-        # so only the roll-back rule finds that residual edge.
-        out, digest = trace_digest(drain_graph, 22, 20, 189, "uniform:1:10", 196)
-        assert (out.global_relabels, out.messages_sent) == (1, 2601)
-        assert digest == "d91828720440fbb98b2899dd6ab7386b257aa54df13de26d1ab835f666f9eb49"
+    def test_payment_that_rolls_back_an_in_flight_push(self):
+        # 160 units from 2 to 1 on four nodes, max-flow 147: one later epoch
+        # and 101 messages.  Node 3 first hears the epoch-2 wave from node 1
+        # while its push in flight saturates the channel to 1, so only the
+        # roll-back rule finds that residual edge.
+        out, digest = trace_digest(loads_network(ROLL_BACK_NET), 2, 1, 160, "uniform:1:10", 0)
+        assert (out.delivered, out.global_relabels, out.messages_sent) == (147, 1, 101)
+        assert digest == "45f831a3e13fc15e9ea24008364eb9b0ef8a5b471838b53c3948e80b04d13a8a"
 
-    def test_step_reproduces_run_on_the_roll_back_payment(self, drain_graph):
+    def test_step_reproduces_run_on_the_roll_back_payment(self):
         # step() returns mid-tick with activations still queued in the
         # tick's slot, and must resume them in the order run() gives
-        ran = trace_digest(drain_graph, 22, 20, 189, "uniform:1:10", 196)
-        assert trace_digest(drain_graph, 22, 20, 189, "uniform:1:10", 196, stepped=True) == ran
+        g = loads_network(ROLL_BACK_NET)
+        ran = trace_digest(g, 2, 1, 160, "uniform:1:10", 0)
+        assert trace_digest(g, 2, 1, 160, "uniform:1:10", 0, stepped=True) == ran
 
 
 class TestPinnedPipeline:
@@ -371,7 +424,7 @@ class TestPinnedPipeline:
             "--latency", "uniform:1:3", "--format", "json", "--out", str(out),
         ]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "02efa48665f1b6204016aa8bd66c035c92a73f64d6b9e10a5df1ef42d246cbf7"
+        assert digest == "bb2a31060c3f00cd4d3c106d0bc649955784184f0eb10c2c8cd421d3173d43cb"
 
 
 class TestGraphUntouched:
@@ -387,6 +440,17 @@ class TestGraphUntouched:
         assert dumps_network(g) == text
         assert g == loads_network(text)
 
+
+# a complete graph on four nodes; max-flow 2 -> 1 is 147
+ROLL_BACK_NET = """\
+pcn 4
+chan 0 1 5 56
+chan 0 2 63 85
+chan 0 3 13 58
+chan 1 2 57 56
+chan 1 3 19 86
+chan 2 3 81 84
+"""
 
 # 37 nodes, some channel directions without capacity; max-flow 21 -> 28 is 15
 CUT_OFF_RACE_NET = """\
