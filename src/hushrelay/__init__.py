@@ -7,7 +7,7 @@ sink-to-source flow reporting and scale-free benchmark tooling.
 
 __version__ = "0.1.0"
 
-from .graph import Channel, ChannelGraph, FlowAssignment, apply_flow
+from .graph import Channel, ChannelGraph, FlowAssignment
 from .oracle import OracleResult, is_feasible, maxflow_augmenting
 from .protocol import NodeState, RoutingOutcome, init_instance
 from .sim import LatencyModel, SimConfig, Simulator, run
@@ -26,7 +26,6 @@ __all__ = [
     "Channel",
     "ChannelGraph",
     "FlowAssignment",
-    "apply_flow",
     "OracleResult",
     "is_feasible",
     "maxflow_augmenting",

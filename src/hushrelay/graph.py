@@ -59,8 +59,7 @@ class ChannelGraph:
     for every channel neighbor w, so a channel is the pair of entries
     cap[v][w] and cap[w][v].  At most one channel per unordered node pair;
     non-edges answer with capacity 0.  Mutation happens only through
-    open_channel, and readers never write to cap; apply_flow returns a new
-    graph.
+    open_channel, and readers never write to cap.
     """
 
     def __init__(self, n: int):
@@ -167,22 +166,3 @@ class FlowAssignment:
     def __repr__(self) -> str:
         return f"FlowAssignment({self.source}->{self.sink}, value={self.value}, edges={self._f})"
 
-
-def apply_flow(g: ChannelGraph, f: FlowAssignment) -> ChannelGraph:
-    """Return a new graph with per-direction capacities shifted by f.
-
-    The per-channel escrow total is unchanged.  Raises CapacityViolation if
-    any f(v, w) exceeds c(v, w).
-    """
-    out = ChannelGraph(g.n)
-    for ch in g.channels():
-        shift = f.get(ch.u, ch.v)
-        new_fwd = ch.cap_forward - shift
-        new_bwd = ch.cap_backward + shift
-        if new_fwd < 0 or new_bwd < 0:
-            raise CapacityViolation(
-                f"flow {shift} on channel {ch.id} violates capacity "
-                f"({ch.cap_forward}, {ch.cap_backward})"
-            )
-        out.open_channel(ch.u, ch.v, new_fwd, new_bwd)
-    return out

@@ -1,4 +1,4 @@
-"""Test-only oracles: a second max-flow route, scipy's max-flow, the min-cut certificate check, a flow check and hop distances."""
+"""Test-only oracles: a second max-flow route, scipy's max-flow, the min-cut certificate check, a flow check, hop distances and balance shifts."""
 
 from __future__ import annotations
 
@@ -109,17 +109,22 @@ def scipy_max_flow(g: ChannelGraph, s: NodeId, r: NodeId) -> Funds:
     return int(csgraph.maximum_flow(matrix, s, r).flow_value)
 
 
-def residual_reachable(g: ChannelGraph, flow: FlowAssignment, s: NodeId) -> set[NodeId]:
-    """Nodes reachable from s along residual edges; the min-cut certificate check."""
-    seen = {s}
+def residual_hops(g: ChannelGraph, flow: FlowAssignment, s: NodeId) -> dict[NodeId, int]:
+    """Hop distance from s along residual edges, by a one-sided BFS; unreachable nodes are absent."""
+    hops = {s: 0}
     queue = deque([s])
     while queue:
         v = queue.popleft()
         for w, c in g.cap[v].items():
-            if w not in seen and c - flow.get(v, w) > 0:
-                seen.add(w)
+            if w not in hops and c - flow.get(v, w) > 0:
+                hops[w] = hops[v] + 1
                 queue.append(w)
-    return seen
+    return hops
+
+
+def residual_reachable(g: ChannelGraph, flow: FlowAssignment, s: NodeId) -> set[NodeId]:
+    """Nodes reachable from s along residual edges; the min-cut certificate check."""
+    return set(residual_hops(g, flow, s))
 
 
 def validate_flow(flow: FlowAssignment, g: ChannelGraph) -> None:
@@ -144,3 +149,23 @@ def public_hops(g: ChannelGraph, r: NodeId) -> dict[NodeId, int]:
                 hops[v] = hops[w] + 1
                 frontier.append(v)
     return hops
+
+
+def apply_flow(g: ChannelGraph, f: FlowAssignment) -> ChannelGraph:
+    """Return a new graph with per-direction capacities shifted by f.
+
+    The per-channel escrow total is unchanged.  Raises CapacityViolation if
+    any f(v, w) exceeds c(v, w).
+    """
+    out = ChannelGraph(g.n)
+    for ch in g.channels():
+        shift = f.get(ch.u, ch.v)
+        new_fwd = ch.cap_forward - shift
+        new_bwd = ch.cap_backward + shift
+        if new_fwd < 0 or new_bwd < 0:
+            raise CapacityViolation(
+                f"flow {shift} on channel {ch.id} violates capacity "
+                f"({ch.cap_forward}, {ch.cap_backward})"
+            )
+        out.open_channel(ch.u, ch.v, new_fwd, new_bwd)
+    return out

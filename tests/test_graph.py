@@ -8,11 +8,10 @@ from hushrelay.graph import (
     FlowAssignment,
     NegativeCapacity,
     SelfLoop,
-    apply_flow,
 )
 
 from .conftest import A, B, C, R, S, escrows, reversed_flow
-from .oracles import validate_flow
+from .oracles import apply_flow, validate_flow
 
 
 class TestOpenChannel:

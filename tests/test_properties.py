@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hushrelay.decompose import cancel_cycles, decompose
-from hushrelay.graph import apply_flow
 from hushrelay.netfile import dumps_network, loads_network
 from hushrelay.oracle import maxflow_augmenting
 from hushrelay.protocol import check_node_invariants
@@ -15,7 +14,7 @@ from hushrelay.sim import LatencyModel, SimConfig, Simulator
 from hushrelay.topology import BAConfig, generate_ba
 
 from .conftest import escrows, reversed_flow
-from .oracles import feasible_flow_sequential, scipy_max_flow, validate_flow
+from .oracles import apply_flow, feasible_flow_sequential, scipy_max_flow, validate_flow
 
 
 ba_configs = st.builds(
