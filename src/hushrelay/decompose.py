@@ -19,13 +19,6 @@ from .graph import FlowAssignment, Funds, NodeId
 Path = tuple[NodeId, ...]
 
 
-def _positive(flow: FlowAssignment) -> dict[NodeId, dict[NodeId, Funds]]:
-    out: dict[NodeId, dict[NodeId, Funds]] = {}
-    for (v, w), a in flow.positive_edges().items():
-        out.setdefault(v, {})[w] = a
-    return out
-
-
 def cancel_cycles(flow: FlowAssignment) -> FlowAssignment:
     """Remove all directed flow cycles; value and validity are unchanged.
 
@@ -34,7 +27,7 @@ def cancel_cycles(flow: FlowAssignment) -> FlowAssignment:
     edge for good), the search resumes from the cycle's entry node, and
     fully explored nodes are never revisited.
     """
-    pos = _positive(flow)
+    pos = {v: dict(targets) for v, targets in flow.out.items()}
     changed = False
     black: set[NodeId] = set()
     empty: dict[NodeId, Funds] = {}
@@ -62,6 +55,8 @@ def cancel_cycles(flow: FlowAssignment) -> FlowAssignment:
                             pos[x][y] = left
                         else:
                             del pos[x][y]
+                            if not pos[x]:
+                                del pos[x]
                     changed = True
                     # abort exploration above w and re-scan it afresh
                     for popped in stack[at + 1 :]:
@@ -82,12 +77,9 @@ def cancel_cycles(flow: FlowAssignment) -> FlowAssignment:
                 stack.pop()
     if not changed:
         return flow
-    out = FlowAssignment(flow.source, flow.sink)
-    for v, targets in pos.items():
-        for w, a in targets.items():
-            if a > 0:
-                out.add(v, w, a)
-    return out
+    canceled = FlowAssignment(flow.source, flow.sink)
+    canceled.out = pos
+    return canceled
 
 
 def _widest_path(
@@ -114,10 +106,12 @@ def _widest_path(
 def decompose(flow: FlowAssignment) -> list[tuple[Path, Funds]]:
     """Split an acyclic flow into (path, value) terms summing to flow.value.
 
-    Raises ValueError if flow edges are left over once the value has been
-    extracted: the flow carried circulation.
+    Raises ValueError unless the flow splits exactly into simple
+    source->sink paths: when no path is left before the value is reached,
+    or when edges are left over once it is (circulation, or flow that no
+    source->sink path carries).
     """
-    pos = _positive(flow)
+    pos = {v: dict(targets) for v, targets in flow.out.items()}
     target = flow.value
     paths: list[tuple[Path, Funds]] = []
     extracted = 0
@@ -136,5 +130,7 @@ def decompose(flow: FlowAssignment) -> list[tuple[Path, Funds]]:
         extracted += width
     left = sorted((v, w) for v, targets in pos.items() for w in targets)
     if left:
-        raise ValueError(f"flow is not acyclic: edges {left} left over after the paths")
+        raise ValueError(
+            f"flow is not acyclic or not conserved: edges {left} left over after the paths"
+        )
     return paths

@@ -31,10 +31,6 @@ class NegativeCapacity(PcnError):
     pass
 
 
-class CapacityViolation(PcnError):
-    pass
-
-
 class Channel(NamedTuple):
     """One payment channel.  Endpoints are normalized so u < v.
 
@@ -111,58 +107,52 @@ class ChannelGraph:
 
 
 class FlowAssignment:
-    """Integer edge flow f(v, w), stored once per pair as its positive net.
+    """Integer edge flow, stored as each node's positive outflows.
 
-    `get` is antisymmetric: f(w, v) = -f(v, w).  `value` is the net flow
-    into the sink.
+    out[v][w] = f(v, w) > 0, with at most one direction per pair and no
+    empty rows: the successor dicts that cycle cancelling, decomposition
+    and the flow report read in place.  `get` is antisymmetric:
+    f(w, v) = -f(v, w).  `value` is the net flow into the sink.
     """
 
     def __init__(self, source: NodeId, sink: NodeId):
         self.source = source
         self.sink = sink
-        self._f: dict[tuple[NodeId, NodeId], Funds] = {}
+        self.out: dict[NodeId, dict[NodeId, Funds]] = {}
 
     def get(self, v: NodeId, w: NodeId) -> Funds:
-        return self._f.get((v, w), 0) - self._f.get((w, v), 0)
+        out = self.out
+        return out.get(v, {}).get(w, 0) - out.get(w, {}).get(v, 0)
 
     def add(self, v: NodeId, w: NodeId, amount: Funds) -> None:
         if v == w:
             raise ValueError("flow on a self-loop is meaningless")
         net = self.get(v, w) + amount
-        self._f.pop((v, w), None)
-        self._f.pop((w, v), None)
+        out = self.out
+        for x, y in ((v, w), (w, v)):
+            row = out.get(x, {})
+            row.pop(y, None)
+            if not row:
+                out.pop(x, None)
         if net > 0:
-            self._f[(v, w)] = net
+            out.setdefault(v, {})[w] = net
         elif net < 0:
-            self._f[(w, v)] = -net
+            out.setdefault(w, {})[v] = -net
 
     def positive_edges(self) -> dict[tuple[NodeId, NodeId], Funds]:
-        return dict(self._f)
+        return {(v, w): a for v, row in self.out.items() for w, a in row.items()}
 
     @property
     def value(self) -> Funds:
         """Net flow into the sink."""
         sink = self.sink
-        return sum(a if w == sink else -a for (v, w), a in self._f.items() if sink in (v, w))
-
-    def unbalanced(self) -> dict[NodeId, Funds]:
-        """Net inflow of every node other than source and sink where it is non-zero.
-
-        Empty iff the flow is conserved; one pass over the edges.
-        """
-        net: dict[NodeId, Funds] = {}
-        for (v, w), a in self._f.items():
-            net[v] = net.get(v, 0) - a
-            net[w] = net.get(w, 0) + a
-        return {
-            v: a for v, a in sorted(net.items()) if a and v not in (self.source, self.sink)
-        }
+        inflow = sum(row.get(sink, 0) for row in self.out.values())
+        return inflow - sum(self.out.get(sink, {}).values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlowAssignment):
             return NotImplemented
-        return (self.source, self.sink, self._f) == (other.source, other.sink, other._f)
+        return (self.source, self.sink, self.out) == (other.source, other.sink, other.out)
 
     def __repr__(self) -> str:
-        return f"FlowAssignment({self.source}->{self.sink}, value={self.value}, edges={self._f})"
-
+        return f"FlowAssignment({self.source}->{self.sink}, value={self.value}, out={self.out})"

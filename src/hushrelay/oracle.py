@@ -91,7 +91,7 @@ def maxflow_augmenting(
     fa = FlowAssignment(s, r)
     for (v, w), a in flow.items():
         if a > 0:
-            fa.add(v, w, a)
+            fa.out.setdefault(v, {})[w] = a
     return OracleResult(total, fa)
 
 

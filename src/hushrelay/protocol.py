@@ -543,7 +543,7 @@ def extract_outcome(
                     f"ledger mismatch on channel {(min(v, w), max(v, w))}: {f_vw} vs {-mirrored}"
                 )
             if f_vw > 0:
-                flow.add(v, w, f_vw)
+                flow.out.setdefault(v, {})[w] = f_vw
     return RoutingOutcome(
         delivered=delivered,
         returned=returned,

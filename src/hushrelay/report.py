@@ -113,7 +113,6 @@ def _filler_unit(rng: Random | None) -> bytes:
 
 
 def build_report(
-    sink: NodeId,
     inbound: list[tuple[NodeId, Funds, bytes]],
     k_sink: bytes,
     depth: int,
@@ -176,38 +175,36 @@ class ReportRun:
     position_lengths: list[tuple[int, int]] = field(default_factory=list)
 
 
-def _sink_first(
-    pos: dict[tuple[NodeId, NodeId], Funds], sink: NodeId
-) -> tuple[list[NodeId], dict[NodeId, list[tuple[NodeId, Funds]]], dict[NodeId, list[NodeId]]]:
-    """Order a non-empty positive flow's nodes sink-first, in reverse topological order.
+def _sink_first(flow: FlowAssignment) -> tuple[list[NodeId], dict[NodeId, list[NodeId]]]:
+    """Order a non-empty flow's nodes sink-first, in reverse topological order.
 
-    Also returns each node's (predecessor, amount) list and successor list.
-    Raises ValueError unless every flow node drains into the sink along the
-    flow: nodes on a cycle, or behind flow leaving the sink, never become
-    ready and are missed by the order.
+    Also returns each node's predecessors, in ascending order.  Raises
+    ValueError unless every flow node drains into the sink along the flow:
+    nodes on a cycle, or behind flow leaving the sink, never become ready
+    and are missed by the order.
     """
-    pos_in: dict[NodeId, list[tuple[NodeId, Funds]]] = {}
-    pos_out: dict[NodeId, list[NodeId]] = {}
-    for (u, v), a in sorted(pos.items()):
-        pos_in.setdefault(v, []).append((u, a))
-        pos_out.setdefault(u, []).append(v)
+    out, sink = flow.out, flow.sink
+    preds: dict[NodeId, list[NodeId]] = {}
+    for u in sorted(out):
+        for v in out[u]:
+            preds.setdefault(v, []).append(u)
     order: list[NodeId] = []
-    unprocessed_out = {v: len(ws) for v, ws in pos_out.items()}
-    ready = [] if sink in pos_out else [sink]
+    unprocessed_out = {v: len(ws) for v, ws in out.items()}
+    ready = [] if sink in out else [sink]
     while ready:
         ready.sort()
         v = ready.pop(0)
         order.append(v)
-        for u, _ in pos_in.get(v, ()):
+        for u in preds.get(v, ()):
             unprocessed_out[u] -= 1
             if unprocessed_out[u] == 0:
                 ready.append(u)
-    missed = (pos_in.keys() | pos_out.keys()) - set(order)
+    missed = (preds.keys() | out.keys()) - set(order)
     if missed:
         raise ValueError(
             f"flow does not drain into sink {sink}: nodes {sorted(missed)} are not ordered"
         )
-    return order, pos_in, pos_out
+    return order, preds
 
 
 def run_report(
@@ -225,29 +222,29 @@ def run_report(
     before anything is sealed; a flow node that does not drain into the
     sink along the flow (a cycle, for one) raises ValueError.
     """
-    source, sink = flow.source, flow.sink
-    pos = flow.positive_edges()
-    for (u, v), a in pos.items():
-        if max(u, v, a) >= _FACT_LIMIT:
-            raise FactOverflow(f"flow {a} on edge ({u}, {v}) does not fit a 64-bit report fact")
+    source, sink, out = flow.source, flow.sink, flow.out
+    for u, targets in out.items():
+        for v, a in targets.items():
+            if max(u, v, a) >= _FACT_LIMIT:
+                raise FactOverflow(f"flow {a} on edge ({u}, {v}) does not fit a 64-bit report fact")
     k_sink = _rand_bytes(rng, KEY_LEN)
-    edge_keys = {edge: _rand_bytes(rng, KEY_LEN) for edge in sorted(pos)}
-    if not pos:
+    edge_keys = {(u, v): _rand_bytes(rng, KEY_LEN) for u in sorted(out) for v in sorted(out[u])}
+    if not out:
         return ReportRun([], k_sink, [], 0, edge_keys)
-    order, pos_in, pos_out = _sink_first(pos, sink)
+    order, preds = _sink_first(flow)
 
     # longest flow path in edges; fixes the uniform packet length schedule
     longest: dict[NodeId, int] = {}
     for v in order:
-        longest[v] = 0 if v == sink else 1 + max(longest[w] for w in pos_out[v])
+        longest[v] = 0 if v == sink else 1 + max(longest[w] for w in out[v])
     depth = longest[source]
     run = ReportRun([], k_sink, [], depth, edge_keys)
 
     # inbox: packets en route to a node, tagged with the key of the edge
     # they traveled over and their hop position
     inbox: dict[NodeId, list[tuple[ReportPacket, bytes, int]]] = {v: [] for v in order}
-    sink_facts = [(u, a, edge_keys[(u, sink)]) for u, a in pos_in[sink]]
-    packets, fillers = build_report(sink, sink_facts, k_sink, depth, rng, cipher)
+    sink_facts = [(u, out[u][sink], edge_keys[(u, sink)]) for u in preds[sink]]
+    packets, fillers = build_report(sink_facts, k_sink, depth, rng, cipher)
     run.filler_set.extend(fillers)
     for pred, pkt in packets.items():
         run.position_lengths.append((0, len(pkt)))
@@ -257,7 +254,7 @@ def run_report(
         if v in (sink, source):
             continue
         items = inbox[v]
-        facts = [(u, a, edge_keys[(u, v)]) for u, a in pos_in.get(v, ())]
+        facts = [(u, out[u][v], edge_keys[(u, v)]) for u in preds.get(v, ())]
         if not facts or not items:
             raise InconsistentFlow(f"relay {v} forwards flow it never received")
         # pair inbound packets with predecessors; extras on either side reuse
@@ -266,9 +263,9 @@ def run_report(
             pkt, key, position = items[min(i, len(items) - 1)]
             fact = facts[min(i, len(facts) - 1)]
             pred = fact[0]
-            out = relay_report(pkt, key, [fact], rng, cipher)
-            run.position_lengths.append((position, len(out[pred])))
-            inbox[pred].append((out[pred], edge_keys[(pred, v)], position + 1))
+            relayed = relay_report(pkt, key, [fact], rng, cipher)[pred]
+            run.position_lengths.append((position, len(relayed)))
+            inbox[pred].append((relayed, edge_keys[(pred, v)], position + 1))
 
     run.source_packets = [pkt for pkt, _, _ in inbox[source]]
     return run
@@ -284,14 +281,18 @@ def reconstruct(
 ) -> ReconstructedFlow:
     """Peel every packet layer by layer and rebuild the flow and its paths.
 
-    Facts are deduplicated.  An edge reported with two different values, a
-    fact set with a cycle, or one violating conservation raises
-    InconsistentFlow: honest relays report only edges of the acyclic flow.
-    Decryption starts from the sink-sealed unit (the last non-filler unit)
-    and walks left, each fact yielding the key for the next unit.
+    Facts are deduplicated and kept as reported; a pair's two directions
+    are not netted, which would hide a forged 2-cycle.  InconsistentFlow
+    is raised for an edge reported with two different values, for a fact
+    set whose nodes do not all drain into the sink along it (a cycle, for
+    one), and for one that `decompose` cannot split exactly into
+    source->sink paths (broken conservation).  Honest relays report only
+    edges of the acyclic flow.  Decryption starts from the sink-sealed
+    unit (the last non-filler unit) and walks left, each fact yielding the
+    key for the next unit.
     """
     fillers = set(filler_set)
-    facts: dict[tuple[NodeId, NodeId], Funds] = {}
+    flow = FlowAssignment(source, sink)
     for pkt in packets:
         units = pkt.units()
         while units and units[-1] in fillers:
@@ -305,24 +306,20 @@ def reconstruct(
             edge = (pred, node)
             if amount <= 0:
                 raise InconsistentFlow(f"non-positive flow {amount} reported on {edge}")
-            if facts.get(edge, amount) != amount:
+            targets = flow.out.setdefault(pred, {})
+            if targets.get(node, amount) != amount:
                 raise InconsistentFlow(
-                    f"edge {edge} reported twice with {facts[edge]} and {amount}"
+                    f"edge {edge} reported twice with {targets[node]} and {amount}"
                 )
-            facts[edge] = amount
+            targets[node] = amount
             key = next_key
             node = pred
-
-    flow = FlowAssignment(source, sink)
-    if not facts:
-        return ReconstructedFlow(flow, [])
     try:
-        _sink_first(facts, sink)
+        _sink_first(flow)
     except ValueError as exc:
         raise InconsistentFlow(f"reported facts are not acyclic: {exc}") from None
-    for (u, v), a in facts.items():
-        flow.add(u, v, a)
-    bad = flow.unbalanced()
-    if bad:
-        raise InconsistentFlow(f"conservation broken: net inflow {bad}")
-    return ReconstructedFlow(flow, decompose(flow))
+    try:
+        paths = decompose(flow)
+    except ValueError as exc:
+        raise InconsistentFlow(f"reported facts are not conserved: {exc}") from None
+    return ReconstructedFlow(flow, paths)

@@ -13,9 +13,13 @@ LATENCIES.  Every run has check_invariants on.
 An instance is wrong when run() delivers anything but min(value, max-flow)
 by `maxflow_augmenting` (and by scipy's maximum_flow, when scipy imports),
 returns anything but the rest, or when a run driven by step() gives another
-trace or outcome.  It is an error when routing raises.  The output counts
-instances, wrong ones, errors and runs with a later epoch, and gives one
-sha256 over every instance's trace and outcome.
+trace or outcome.  A delivery is also wrong when `decompose`'s paths do not
+sum to it, or when `reconstruct` of the flow report, sealed with a
+generator seeded by the instance's sim_seed, does not give back the flow;
+neither check feeds the digest.  It is an error when routing, decomposing
+or the report raises.  The output counts instances, wrong ones, errors and
+runs with a later epoch, and gives one sha256 over every instance's trace
+and outcome.
 """
 
 from __future__ import annotations
@@ -28,8 +32,10 @@ import random
 import sys
 from dataclasses import dataclass, field
 
+from hushrelay.decompose import decompose
 from hushrelay.graph import ChannelGraph
 from hushrelay.oracle import maxflow_augmenting
+from hushrelay.report import reconstruct, run_report
 from hushrelay.sim import LatencyModel, SimConfig, Simulator
 from hushrelay.topology import BAConfig, generate_ba
 
@@ -90,6 +96,19 @@ def route(inst: Instance, stepped: bool):
     return sim.run(), buf.getvalue()
 
 
+def flow_pipeline(inst: Instance, out) -> list[str]:
+    """What is wrong with a delivery's path split and its flow report round trip."""
+    if not out.delivered:
+        return []
+    problems = []
+    if sum(width for _, width in decompose(out.flow)) != out.delivered:
+        problems.append("paths do not sum to the delivered value")
+    rr = run_report(out.flow, rng=random.Random(inst.sim_seed))
+    if reconstruct(inst.s, inst.r, rr.source_packets, rr.k_sink, rr.filler_set).flow != out.flow:
+        problems.append("the flow report rebuilds another flow")
+    return problems
+
+
 @dataclass
 class Tally:
     instances: int = 0
@@ -116,12 +135,12 @@ def run_corpus(seed: int, count: int) -> Tally:
         try:
             out, trace = route(inst, stepped=False)
             stepped_out, stepped_trace = route(inst, stepped=True)
+            problems = flow_pipeline(inst, out)
         except Exception as exc:  # every failure is counted, and the corpus goes on
             tally.errors += 1
             tally.failures.append(f"{what}: {type(exc).__name__}: {exc}")
             continue
         expected = min(inst.value, inst.max_flow)
-        problems = []
         if tally.scipy_checked and scipy_max_flow(inst.graph, inst.s, inst.r) != inst.max_flow:
             problems.append("oracles disagree")
         if (out.delivered, out.returned) != (expected, inst.value - expected):

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from collections import deque
 
-from hushrelay.graph import CapacityViolation, ChannelGraph, FlowAssignment, Funds, NodeId
+from hushrelay.graph import ChannelGraph, FlowAssignment, Funds, NodeId
+
+
+class CapacityViolation(Exception):
+    """A flow exceeds a directed capacity or breaks conservation."""
 
 
 def feasible_flow_sequential(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> FlowAssignment:
@@ -129,11 +133,14 @@ def residual_reachable(g: ChannelGraph, flow: FlowAssignment, s: NodeId) -> set[
 
 def validate_flow(flow: FlowAssignment, g: ChannelGraph) -> None:
     """Check flow's capacity and conservation against g; raise CapacityViolation otherwise."""
+    net: dict[NodeId, Funds] = {}
     for (v, w), a in flow.positive_edges().items():
         c = g.cap[v].get(w, 0)
         if a > c:
             raise CapacityViolation(f"f({v},{w})={a} exceeds c={c}")
-    bad = flow.unbalanced()
+        net[v] = net.get(v, 0) - a
+        net[w] = net.get(w, 0) + a
+    bad = {v: a for v, a in sorted(net.items()) if a and v not in (flow.source, flow.sink)}
     if bad:
         raise CapacityViolation(f"conservation broken: net inflow {bad}")
 

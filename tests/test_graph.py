@@ -1,7 +1,6 @@
 import pytest
 
 from hushrelay.graph import (
-    CapacityViolation,
     Channel,
     ChannelGraph,
     DuplicateChannel,
@@ -11,7 +10,7 @@ from hushrelay.graph import (
 )
 
 from .conftest import A, B, C, R, S, escrows, reversed_flow
-from .oracles import apply_flow, validate_flow
+from .oracles import CapacityViolation, apply_flow, validate_flow
 
 
 class TestOpenChannel:

@@ -31,7 +31,7 @@ class TestBuildReport:
         rr = run_report(out.flow, rng=Random(1))
         # sink R has a single inbound edge C->R carrying 15
         packets, fillers = build_report(
-            R, [(C, 15, rr.edge_keys[(C, R)])], rr.k_sink, depth=3, rng=Random(2)
+            [(C, 15, rr.edge_keys[(C, R)])], rr.k_sink, depth=3, rng=Random(2)
         )
         assert set(packets) == {C}
         assert len(packets[C]) == 3 * UNIT_LEN
@@ -83,7 +83,7 @@ class TestRelayReport:
         out = worked_outcome(example_graph)
         rr = run_report(out.flow, rng=Random(3))
         packets, _ = build_report(
-            R, [(C, 15, rr.edge_keys[(C, R)])], rr.k_sink, depth=3, rng=Random(4)
+            [(C, 15, rr.edge_keys[(C, R)])], rr.k_sink, depth=3, rng=Random(4)
         )
         facts = [(A, 10, b"\x02" * 32), (B, 5, b"\x03" * 32)]
         relayed = relay_report(packets[C], rr.edge_keys[(C, R)], facts, rng=Random(5))
@@ -132,7 +132,7 @@ class TestReconstruct:
         rr = run_report(out.flow, rng=Random(11))
         # forge an extra single-layer chain claiming a different value on C->R
         forged, _ = build_report(
-            R, [(C, 14, rr.edge_keys[(C, R)])], rr.k_sink, depth=1, rng=Random(12)
+            [(C, 14, rr.edge_keys[(C, R)])], rr.k_sink, depth=1, rng=Random(12)
         )
         with pytest.raises(InconsistentFlow):
             reconstruct(S, R, rr.source_packets + [forged[C]], rr.k_sink, rr.filler_set)
@@ -144,7 +144,7 @@ class TestReconstruct:
         out = worked_outcome(example_graph)
         rr = run_report(out.flow, rng=Random(13))
         keys = rr.edge_keys
-        sealed, _ = build_report(R, [(C, 15, keys[(C, R)])], rr.k_sink, depth=3, rng=Random(14))
+        sealed, _ = build_report([(C, 15, keys[(C, R)])], rr.k_sink, depth=3, rng=Random(14))
         at_c = relay_report(
             sealed[C], keys[(C, R)], [(A, 10, keys[(A, C)]), (B, 5, keys[(B, C)])], rng=Random(15)
         )
@@ -154,6 +154,51 @@ class TestReconstruct:
         ]
         with pytest.raises(InconsistentFlow, match="not acyclic"):
             reconstruct(S, R, rr.source_packets + forged, rr.k_sink, rr.filler_set)
+
+    def test_forged_unconserved_facts_are_inconsistent(self, example_graph):
+        # relay C alone reports A->C 10 and B->C 7 against the sink's C->R 15:
+        # no fact conflicts and every node drains into R, but C takes in 17
+        # and passes on 15
+        out = worked_outcome(example_graph)
+        rr = run_report(out.flow, rng=Random(18))
+        keys = rr.edge_keys
+        sealed, _ = build_report([(C, 15, keys[(C, R)])], rr.k_sink, depth=2, rng=Random(19))
+        forged = relay_report(
+            sealed[C], keys[(C, R)], [(A, 10, keys[(A, C)]), (B, 7, keys[(B, C)])], rng=Random(20)
+        )
+        with pytest.raises(InconsistentFlow):
+            reconstruct(S, R, list(forged.values()), rr.k_sink, rr.filler_set)
+
+    @pytest.mark.parametrize(
+        "paths",
+        [
+            # a forged 2-cycle on the pair (1, 2)
+            [(0, 1, 2, 3), (0, 2, 1, 3)],
+            # the support cycle 1->2->5->1
+            [(0, 1, 2, 3), (0, 2, 5, 1, 4, 3), (0, 3)],
+        ],
+    )
+    def test_cycle_across_simple_paths_is_inconsistent(self, paths):
+        # every path is simple and carries 1 unit, so the facts are conserved
+        # and split exactly into paths; only their support holds a cycle
+        rng = Random(21)
+        k_sink = rng.randbytes(32)
+        keys: dict[tuple[int, int], bytes] = {}
+        depth = max(len(p) for p in paths) - 1
+        packets, filler_set = [], []
+        for path in paths:
+            edges = list(zip(path, path[1:]))
+            for e in edges:
+                keys.setdefault(e, rng.randbytes(32))
+            u, r = edges[-1]
+            sealed, fillers = build_report([(u, 1, keys[(u, r)])], k_sink, depth, rng=rng)
+            filler_set.extend(fillers)
+            pkt = sealed[u]
+            for (u, v), (w, _) in zip(reversed(edges), reversed(edges[:-1])):
+                pkt = relay_report(pkt, keys[(u, v)], [(w, 1, keys[(w, u)])], rng=rng)[w]
+            packets.append(pkt)
+        with pytest.raises(InconsistentFlow, match="not acyclic"):
+            reconstruct(0, 3, packets, k_sink, filler_set)
 
 
 class TestRoundTripCorpus:
