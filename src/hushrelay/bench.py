@@ -194,31 +194,29 @@ def run_txn(
         check_invariants=check_invariants,
     )
     started = time.perf_counter()
+    sim = Simulator(g, txn.s, txn.r, txn.val, cfg)
+    error = ""
     try:
-        outcome = Simulator(g, txn.s, txn.r, txn.val, cfg).run()
-    except EventBudgetExhausted as exc:
-        # the counters so far; the virtual sink n+1 holds what was delivered
-        sim = exc.sim
-        return TxnResult(
-            txn_id, txn.s, txn.r, txn.val, feasible,
-            sim.states[g.n + 1].excess, False, sim.simulated_time,
-            time.perf_counter() - started, sim.messages_sent,
-            sim.relabels,
-            error="event_budget_exhausted",
-        )
+        sim.run()
+    except EventBudgetExhausted:
+        # the row keeps the counters so far
+        error = "event_budget_exhausted"
     elapsed = time.perf_counter() - started
+    # the virtual sink n+1 holds what was delivered
+    delivered = sim.states[g.n + 1].excess
     return TxnResult(
         txn_id,
         txn.s,
         txn.r,
         txn.val,
         feasible,
-        outcome.delivered,
-        outcome.delivered == txn.val,
-        outcome.simulated_time,
+        delivered,
+        not error and delivered == txn.val,
+        sim.simulated_time,
         elapsed,
-        outcome.messages_sent,
-        outcome.relabels,
+        sim.messages_sent,
+        sim.relabels,
+        error,
     )
 
 

@@ -75,14 +75,17 @@ def _parse_seed_range(spec: str) -> list[int]:
         raise UsageError(f"bad seed {spec!r}") from None
 
 
-def cmd_gen(args) -> int:
-    cfg = BAConfig(
+def _ba_config(args, seed: int) -> BAConfig:
+    return BAConfig(
         n=args.nodes,
         m_attach=args.attach,
         cap_range=(args.cap_min, args.cap_max),
-        seed=_seed(args),
+        seed=seed,
     )
-    g = generate_ba(cfg)
+
+
+def cmd_gen(args) -> int:
+    g = generate_ba(_ba_config(args, _seed(args)))
     save_network(g, args.out)
     print(f"wrote {args.out}: {g.n} nodes, {g.channel_count} channels")
     return EXIT_OK
@@ -129,14 +132,7 @@ def _bench_graph(args, seed: int):
         return load_network(args.network)
     if args.nodes is None:
         raise UsageError("bench needs --network or --nodes")
-    return generate_ba(
-        BAConfig(
-            n=args.nodes,
-            m_attach=args.attach,
-            cap_range=(args.cap_min, args.cap_max),
-            seed=seed,
-        )
-    )
+    return generate_ba(_ba_config(args, seed))
 
 
 def _bench_workload(args, g, seed: int):
@@ -164,6 +160,8 @@ _SWEEP_COLUMNS = [
 
 def cmd_bench(args) -> int:
     seeds = _parse_seed_range(args.seeds) if args.seeds else [_seed(args)]
+    if len(seeds) > 1 and args.format == "json":
+        raise UsageError("a seed sweep writes CSV only; drop --format json")
     latency = _latency(args)
     reports: list[tuple[int, ExperimentReport]] = []
     for seed in seeds:

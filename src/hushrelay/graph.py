@@ -14,6 +14,9 @@ Funds = int
 NodeId = int
 ChannelId = tuple[int, int]
 
+# ChannelGraph(n) allocates per-node state up front, so n is bounded
+MAX_NODES = 1 << 20
+
 
 class PcnError(Exception):
     """Base class for graph-level errors."""
@@ -59,8 +62,8 @@ class ChannelGraph:
     """
 
     def __init__(self, n: int):
-        if n < 0:
-            raise ValueError("node count must be non-negative")
+        if not 0 <= n <= MAX_NODES:
+            raise ValueError(f"node count must be in 0..{MAX_NODES}, got {n}")
         self.n = n
         self.cap: list[dict[NodeId, Funds]] = [{} for _ in range(n)]
         self.channel_count = 0
@@ -110,34 +113,14 @@ class FlowAssignment:
     """Integer edge flow, stored as each node's positive outflows.
 
     out[v][w] = f(v, w) > 0, with at most one direction per pair and no
-    empty rows: the successor dicts that cycle cancelling, decomposition
-    and the flow report read in place.  `get` is antisymmetric:
-    f(w, v) = -f(v, w).  `value` is the net flow into the sink.
+    empty rows.  Every stage fills and reads these successor dicts in
+    place.  `value` is the net flow into the sink.
     """
 
     def __init__(self, source: NodeId, sink: NodeId):
         self.source = source
         self.sink = sink
         self.out: dict[NodeId, dict[NodeId, Funds]] = {}
-
-    def get(self, v: NodeId, w: NodeId) -> Funds:
-        out = self.out
-        return out.get(v, {}).get(w, 0) - out.get(w, {}).get(v, 0)
-
-    def add(self, v: NodeId, w: NodeId, amount: Funds) -> None:
-        if v == w:
-            raise ValueError("flow on a self-loop is meaningless")
-        net = self.get(v, w) + amount
-        out = self.out
-        for x, y in ((v, w), (w, v)):
-            row = out.get(x, {})
-            row.pop(y, None)
-            if not row:
-                out.pop(x, None)
-        if net > 0:
-            out.setdefault(v, {})[w] = net
-        elif net < 0:
-            out.setdefault(w, {})[v] = -net
 
     def positive_edges(self) -> dict[tuple[NodeId, NodeId], Funds]:
         return {(v, w): a for v, row in self.out.items() for w, a in row.items()}

@@ -12,10 +12,8 @@ from __future__ import annotations
 import os
 
 from .graph import ChannelGraph
+from .graph import MAX_NODES as MAX_NODES  # the header's bound, checked by ChannelGraph
 from .topology import Transaction
-
-# ChannelGraph(n) allocates per-node state up front, so the header is bounded
-MAX_NODES = 1 << 20
 
 
 class ParseError(Exception):
@@ -48,9 +46,10 @@ def loads_network(text: str) -> ChannelGraph:
             if len(fields) != 2 or fields[0] != "pcn":
                 raise ParseError(line_no, f"expected 'pcn <n>' header, got {line!r}")
             n = _int_field(line_no, fields[1], "node count")
-            if not 0 <= n <= MAX_NODES:
-                raise ParseError(line_no, f"node count must be in 0..{MAX_NODES}, got {n}")
-            g = ChannelGraph(n)
+            try:
+                g = ChannelGraph(n)
+            except ValueError as exc:
+                raise ParseError(line_no, str(exc)) from None
             break
     if g is None:
         raise ParseError(1, "empty network file")

@@ -62,7 +62,10 @@ MAX_DELAY = 1000
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Per-message delay: constant when lo == hi, else uniform integer draws from a seeded RNG."""
+    """Per-message delay: lo when lo == hi, else a uniform integer draw from [lo, hi].
+
+    Simulator._dispatch draws each delay inline, from the run's seeded RNG.
+    """
 
     lo: int
     hi: int
@@ -89,11 +92,6 @@ class LatencyModel:
         except ValueError as exc:
             raise ValueError(f"bad latency spec {spec!r}: {exc}") from None
         raise ValueError(f"bad latency spec {spec!r}; use const:<d> or uniform:<lo>:<hi>")
-
-    def sample(self, rng: random.Random) -> int:
-        if self.lo == self.hi:
-            return self.lo
-        return rng.randint(self.lo, self.hi)
 
 
 @dataclass
@@ -347,15 +345,3 @@ class Simulator:
             )
         # outcome() rejects every state that quiescent() would
         return self.outcome()
-
-
-def run(
-    g: ChannelGraph,
-    s: NodeId,
-    r: NodeId,
-    val: Funds,
-    cfg: SimConfig | None = None,
-    trace: IO[str] | None = None,
-) -> RoutingOutcome:
-    """Route val from s to r under cfg and return the outcome."""
-    return Simulator(g, s, r, val, cfg, trace).run()

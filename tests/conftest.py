@@ -7,6 +7,8 @@ from hushrelay.graph import ChannelGraph, FlowAssignment, Funds, NodeId
 from hushrelay.protocol import NodeStates, init_instance
 from hushrelay.report import ReportPacket, ReportRun
 
+from .oracles import add_flow
+
 # Worked five-node example used throughout: S=0, A=1, B=2, C=3, R=4.
 # Max flow S->R is 20, limited by the C->R channel.
 S, A, B, C, R = range(5)
@@ -52,7 +54,7 @@ def reversed_flow(f: FlowAssignment) -> FlowAssignment:
     """The same edge amounts sent the other way; apply_flow of it undoes f."""
     back = FlowAssignment(f.sink, f.source)
     for (v, w), a in f.positive_edges().items():
-        back.add(w, v, a)
+        add_flow(back, w, v, a)
     return back
 
 

@@ -1,4 +1,4 @@
-"""Test-only oracles: a second max-flow route, scipy's max-flow, the min-cut certificate check, a flow check, hop distances and balance shifts."""
+"""Test-only oracles: a second max-flow route, scipy's max-flow, the min-cut certificate check, a flow check, hop distances, netted flow updates and balance shifts."""
 
 from __future__ import annotations
 
@@ -9,6 +9,32 @@ from hushrelay.graph import ChannelGraph, FlowAssignment, Funds, NodeId
 
 class CapacityViolation(Exception):
     """A flow exceeds a directed capacity or breaks conservation."""
+
+
+def net_flow(f: FlowAssignment, v: NodeId, w: NodeId) -> Funds:
+    """f(v, w), antisymmetric: f(w, v) = -f(v, w)."""
+    out = f.out
+    return out.get(v, {}).get(w, 0) - out.get(w, {}).get(v, 0)
+
+
+def add_flow(f: FlowAssignment, v: NodeId, w: NodeId, amount: Funds) -> None:
+    """Add amount to f(v, w), netted against the pair's other direction.
+
+    Keeps f's invariant: at most one direction per pair and no empty rows.
+    """
+    if v == w:
+        raise ValueError("flow on a self-loop is meaningless")
+    net = net_flow(f, v, w) + amount
+    out = f.out
+    for x, y in ((v, w), (w, v)):
+        row = out.get(x, {})
+        row.pop(y, None)
+        if not row:
+            out.pop(x, None)
+    if net > 0:
+        out.setdefault(v, {})[w] = net
+    elif net < 0:
+        out.setdefault(w, {})[v] = -net
 
 
 def feasible_flow_sequential(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> FlowAssignment:
@@ -87,7 +113,7 @@ def feasible_flow_sequential(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) 
     fa = FlowAssignment(s, r)
     for (v, w), a in flow.items():
         if a > 0 and v < n and w < n:
-            fa.add(v, w, a)
+            add_flow(fa, v, w, a)
     return fa
 
 
@@ -120,7 +146,7 @@ def residual_hops(g: ChannelGraph, flow: FlowAssignment, s: NodeId) -> dict[Node
     while queue:
         v = queue.popleft()
         for w, c in g.cap[v].items():
-            if w not in hops and c - flow.get(v, w) > 0:
+            if w not in hops and c - net_flow(flow, v, w) > 0:
                 hops[w] = hops[v] + 1
                 queue.append(w)
     return hops
@@ -166,7 +192,7 @@ def apply_flow(g: ChannelGraph, f: FlowAssignment) -> ChannelGraph:
     """
     out = ChannelGraph(g.n)
     for ch in g.channels():
-        shift = f.get(ch.u, ch.v)
+        shift = net_flow(f, ch.u, ch.v)
         new_fwd = ch.cap_forward - shift
         new_bwd = ch.cap_backward + shift
         if new_fwd < 0 or new_bwd < 0:

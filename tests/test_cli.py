@@ -32,6 +32,13 @@ class TestGen:
         assert main(["gen", "--nodes", "1", "--out", str(out)]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    def test_nodes_above_loader_bound_rejected(self, tmp_path, capsys):
+        # a generated network obeys the bound that route --network enforces
+        out = tmp_path / "x.pcn"
+        assert main(["gen", "--nodes", str(MAX_NODES + 1), "--out", str(out)]) == 2
+        assert f"node count must be in 0..{MAX_NODES}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRoute:
     def test_full_delivery_exit_zero(self, example_file, capsys):
@@ -148,6 +155,28 @@ class TestBench:
         doc = json.loads(path.read_text())
         assert doc["aggregate"]["txn_count"] == 5
 
+    def test_json_seed_sweep_is_usage_error(self, tmp_path, capsys):
+        # a sweep writes one CSV row per seed; it is refused before any seed is routed
+        path = tmp_path / "sw.json"
+        assert main([
+            "bench", "--nodes", "15", "--txns", "5", "--seeds", "1..3",
+            "--format", "json", "--out", str(path),
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "usage error" in err
+        assert not path.exists()
+
+    def test_nodes_above_loader_bound_rejected(self, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        assert main([
+            "bench", "--nodes", str(MAX_NODES + 1), "--txns", "5", "--out", str(path),
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"node count must be in 0..{MAX_NODES}" in err
+        assert not path.exists()
+
     def test_needs_network_or_nodes(self, capsys):
         assert main(["bench", "--txns", "5"]) == 2
 
@@ -197,3 +226,9 @@ class TestBench:
         assert out == ""
         assert "usage error: bad value range (0, 3)" in err
         assert not path.exists()
+
+
+class TestVersion:
+    def test_version_printed(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == "hushrelay 0.1.0\n"

@@ -5,11 +5,11 @@ import pytest
 
 from hushrelay.decompose import cancel_cycles, decompose
 from hushrelay.graph import FlowAssignment
-from hushrelay.sim import SimConfig, run
+from hushrelay.sim import SimConfig, Simulator
 from hushrelay.topology import BAConfig, WorkloadConfig, generate_ba, generate_workload
 
 from .conftest import A, B, C, R, S
-from .oracles import validate_flow
+from .oracles import add_flow, net_flow, validate_flow
 
 
 def has_cycle(flow: FlowAssignment) -> bool:
@@ -36,7 +36,7 @@ def has_cycle(flow: FlowAssignment) -> bool:
 def worked_flow() -> FlowAssignment:
     f = FlowAssignment(S, R)
     for v, w, a in [(S, A, 10), (A, C, 10), (S, B, 5), (B, C, 5), (C, R, 15)]:
-        f.add(v, w, a)
+        add_flow(f, v, w, a)
     return f
 
 
@@ -50,7 +50,7 @@ class TestDecompose:
 
     def test_single_channel_flow_is_one_path(self):
         f = FlowAssignment(0, 1)
-        f.add(0, 1, 7)
+        add_flow(f, 0, 1, 7)
         assert decompose(f) == [((0, 1), 7)]
 
     def test_empty_flow_gives_no_paths(self):
@@ -59,10 +59,10 @@ class TestDecompose:
     def test_tie_break_is_lexicographic(self):
         # two disjoint 2-hop paths of equal width: 0-1-3 sorts before 0-2-3
         f = FlowAssignment(0, 3)
-        f.add(0, 1, 5)
-        f.add(1, 3, 5)
-        f.add(0, 2, 5)
-        f.add(2, 3, 5)
+        add_flow(f, 0, 1, 5)
+        add_flow(f, 1, 3, 5)
+        add_flow(f, 0, 2, 5)
+        add_flow(f, 2, 3, 5)
         assert decompose(f) == [((0, 1, 3), 5), ((0, 2, 3), 5)]
 
     def test_circulation_rejected(self):
@@ -70,7 +70,7 @@ class TestDecompose:
         # directions, so three edges is the shortest cycle it can hold
         f = FlowAssignment(0, 3)
         for v, w, a in [(0, 1, 5), (1, 3, 5), (1, 2, 3), (2, 4, 3), (4, 1, 3)]:
-            f.add(v, w, a)
+            add_flow(f, v, w, a)
         with pytest.raises(ValueError, match="not acyclic"):
             decompose(f)
 
@@ -79,7 +79,7 @@ class TestDecompose:
         for trial in range(60):
             g = generate_ba(BAConfig(n=rng.randint(5, 40), m_attach=2, seed=trial))
             (txn,) = generate_workload(g, WorkloadConfig(txn_count=1, seed=trial))
-            out = run(g, txn.s, txn.r, txn.val, SimConfig(seed=trial))
+            out = Simulator(g, txn.s, txn.r, txn.val, SimConfig(seed=trial)).run()
             paths = decompose(out.flow)
             assert sum(v for _, v in paths) == out.delivered
             for path, width in paths:
@@ -87,25 +87,25 @@ class TestDecompose:
                 assert width > 0
                 # every hop is a positive-flow edge wide enough for the term
                 edges = list(zip(path, path[1:]))
-                assert all(out.flow.get(v, w) > 0 for v, w in edges)
+                assert all(net_flow(out.flow, v, w) > 0 for v, w in edges)
 
 
 class TestCancelCycles:
     def test_plain_cycle_vanishes(self):
         f = FlowAssignment(0, 3)
-        f.add(0, 1, 5)
-        f.add(1, 3, 5)
-        f.add(1, 2, 3)
-        f.add(2, 1, 3)  # 1->2->1 circulation
+        add_flow(f, 0, 1, 5)
+        add_flow(f, 1, 3, 5)
+        add_flow(f, 1, 2, 3)
+        add_flow(f, 2, 1, 3)  # 1->2->1 circulation
         canceled = cancel_cycles(f)
         assert canceled.positive_edges() == {(0, 1): 5, (1, 3): 5}
         assert canceled.value == f.value
 
     def test_cycle_through_longer_loop(self):
         f = FlowAssignment(0, 4)
-        f.add(0, 4, 2)
+        add_flow(f, 0, 4, 2)
         for v, w in [(1, 2), (2, 3), (3, 1)]:
-            f.add(v, w, 7)
+            add_flow(f, v, w, 7)
         canceled = cancel_cycles(f)
         assert canceled.positive_edges() == {(0, 4): 2}
 
@@ -116,22 +116,22 @@ class TestCancelCycles:
     def test_partial_cancellation_keeps_net_path(self):
         # cycle shares an edge with the payment path; only circulation goes
         f = FlowAssignment(0, 2)
-        f.add(0, 1, 4)
-        f.add(1, 2, 4)
-        f.add(1, 0, 0)  # stored zero pair; no effect
-        f.add(2, 0, 0)
+        add_flow(f, 0, 1, 4)
+        add_flow(f, 1, 2, 4)
+        add_flow(f, 1, 0, 0)  # stored zero pair; no effect
+        add_flow(f, 2, 0, 0)
         canceled = cancel_cycles(f)
         assert canceled.value == 4
 
     def test_overlapping_cycles_all_removed(self):
         # two cycles sharing node 1 plus a through-path
         f = FlowAssignment(0, 4)
-        f.add(0, 1, 2)
-        f.add(1, 4, 2)
-        f.add(1, 2, 3)
-        f.add(2, 1, 3)
-        f.add(1, 3, 5)
-        f.add(3, 1, 5)
+        add_flow(f, 0, 1, 2)
+        add_flow(f, 1, 4, 2)
+        add_flow(f, 1, 2, 3)
+        add_flow(f, 2, 1, 3)
+        add_flow(f, 1, 3, 5)
+        add_flow(f, 3, 1, 5)
         canceled = cancel_cycles(f)
         assert not has_cycle(canceled)
         assert canceled.positive_edges() == {(0, 1): 2, (1, 4): 2}
@@ -157,7 +157,7 @@ class TestCancelCycles:
                 st = sim.states.get(ch.u)  # a node no message reached has no flow
                 f_uv = st.edge_flow[ch.v] if st else 0
                 if f_uv:
-                    raw.add(ch.u, ch.v, f_uv)
+                    add_flow(raw, ch.u, ch.v, f_uv)
             if has_cycle(raw):
                 cyclic_seen += 1
             canceled = cancel_cycles(raw)

@@ -1,6 +1,7 @@
 import pytest
 
 from hushrelay.graph import (
+    MAX_NODES,
     Channel,
     ChannelGraph,
     DuplicateChannel,
@@ -10,7 +11,7 @@ from hushrelay.graph import (
 )
 
 from .conftest import A, B, C, R, S, escrows, reversed_flow
-from .oracles import CapacityViolation, apply_flow, validate_flow
+from .oracles import CapacityViolation, add_flow, apply_flow, net_flow, validate_flow
 
 
 class TestOpenChannel:
@@ -57,6 +58,12 @@ class TestOpenChannel:
         assert sorted(g.cap[2]) == [0]
 
 
+    @pytest.mark.parametrize("n", [-1, MAX_NODES + 1, 10**12])
+    def test_node_count_outside_bound_rejected_before_allocating(self, n):
+        with pytest.raises(ValueError, match=f"node count must be in 0..{MAX_NODES}, got {n}$"):
+            ChannelGraph(n)
+
+
 class TestChannels:
     # opened out of order, in both orientations
     SPECS = [(3, 1, 5, 6), (0, 2, 1, 2), (2, 1, 7, 0), (1, 0, 4, 3)]
@@ -88,7 +95,7 @@ class TestResidual:
     # apply_flow leaves each direction at its residual capacity c - f
     def test_saturating_push_leaves_zero_residual(self, example_graph):
         f = FlowAssignment(S, R)
-        f.add(S, A, 10)
+        add_flow(f, S, A, 10)
         assert apply_flow(example_graph, f).cap[S].get(A, 0) == 0
 
     def test_zero_flow_residual_equals_capacity(self, example_graph):
@@ -98,8 +105,8 @@ class TestResidual:
     def test_reverse_residual_from_antisymmetry(self, example_graph):
         # f(A,S) = -10 against c(A,S) = 0 opens 10 units of reverse residual
         f = FlowAssignment(S, R)
-        f.add(S, A, 10)
-        assert f.get(A, S) == -10
+        add_flow(f, S, A, 10)
+        assert net_flow(f, A, S) == -10
         assert apply_flow(example_graph, f).cap[A].get(S, 0) == 10
 
     def test_non_edge_residual_is_zero(self, example_graph):
@@ -111,7 +118,7 @@ class TestApplyFlow:
     def test_worked_example_shifts_bottleneck_channel(self, example_graph):
         f = FlowAssignment(S, R)
         for v, w, a in [(S, A, 10), (A, C, 10), (S, B, 5), (B, C, 5), (C, R, 15)]:
-            f.add(v, w, a)
+            add_flow(f, v, w, a)
         g2 = apply_flow(example_graph, f)
         assert g2.cap[C].get(R, 0) == 5
         assert g2.cap[R].get(C, 0) == 15
@@ -122,19 +129,19 @@ class TestApplyFlow:
 
     def test_apply_then_reverse_apply_restores(self, example_graph):
         f = FlowAssignment(S, R)
-        f.add(S, A, 7)
-        f.add(A, C, 7)
+        add_flow(f, S, A, 7)
+        add_flow(f, A, C, 7)
         g2 = apply_flow(apply_flow(example_graph, f), reversed_flow(f))
         assert g2 == example_graph
 
     def test_escrow_total_conserved(self, example_graph):
         f = FlowAssignment(S, R)
-        f.add(S, A, 9)
+        add_flow(f, S, A, 9)
         assert escrows(apply_flow(example_graph, f)) == escrows(example_graph)
 
     def test_overflow_rejected(self, example_graph):
         f = FlowAssignment(S, R)
-        f.add(S, A, 11)
+        add_flow(f, S, A, 11)
         with pytest.raises(CapacityViolation):
             apply_flow(example_graph, f)
 
@@ -142,39 +149,39 @@ class TestApplyFlow:
 class TestFlowAssignment:
     def test_value_is_net_flow_into_sink(self, example_graph):
         f = FlowAssignment(S, R)
-        f.add(C, R, 15)
+        add_flow(f, C, R, 15)
         assert f.value == 15
 
     def test_opposite_adds_cancel_to_empty(self):
         f = FlowAssignment(S, R)
-        f.add(A, C, 4)
-        f.add(C, A, 4)
+        add_flow(f, A, C, 4)
+        add_flow(f, C, A, 4)
         assert f.positive_edges() == {}
         assert f == FlowAssignment(S, R)
 
     def test_pair_stored_once_as_positive_net(self):
         f = FlowAssignment(S, R)
-        f.add(A, C, 4)
-        f.add(C, A, 6)
+        add_flow(f, A, C, 4)
+        add_flow(f, C, A, 6)
         assert f.positive_edges() == {(C, A): 2}
-        assert f.get(A, C) == -2
+        assert net_flow(f, A, C) == -2
 
     def test_validate_accepts_worked_flow(self, example_graph):
         f = FlowAssignment(S, R)
         for v, w, a in [(S, A, 10), (A, C, 10), (S, B, 5), (B, C, 5), (C, R, 15)]:
-            f.add(v, w, a)
+            add_flow(f, v, w, a)
         validate_flow(f, example_graph)
 
     def test_validate_rejects_conservation_break(self, example_graph):
         f = FlowAssignment(S, R)
-        f.add(S, A, 5)
+        add_flow(f, S, A, 5)
         with pytest.raises(CapacityViolation):
             validate_flow(f, example_graph)
 
     def test_validate_rejects_overflow(self, example_graph):
         f = FlowAssignment(S, R)
-        f.add(S, A, 12)
-        f.add(A, C, 10)
-        f.add(A, R, 2)
+        add_flow(f, S, A, 12)
+        add_flow(f, A, C, 10)
+        add_flow(f, A, R, 2)
         with pytest.raises(CapacityViolation):
             validate_flow(f, example_graph)

@@ -22,7 +22,7 @@ from hushrelay.protocol import (
     on_sink_distance,
 )
 from hushrelay.graph import ChannelGraph
-from hushrelay.sim import SimConfig, Simulator, run
+from hushrelay.sim import SimConfig, Simulator
 from hushrelay.topology import BAConfig, generate_ba
 
 from .conftest import A, B, C, R, S, five_node_graph, zero_labeled
@@ -436,14 +436,14 @@ class TestOnCutOff:
 
 class TestExtractOutcome:
     def test_full_delivery_outcome(self, example_graph):
-        out = run(example_graph, S, R, 15, SimConfig(seed=1))
+        out = Simulator(example_graph, S, R, 15, SimConfig(seed=1)).run()
         assert out.delivered == 15
         assert out.returned == 0
         assert out.flow.value == 15
         assert out.delivered + out.returned == 15
 
     def test_partial_delivery_returns_excess(self, example_graph):
-        out = run(example_graph, S, R, 25, SimConfig(seed=1))
+        out = Simulator(example_graph, S, R, 25, SimConfig(seed=1)).run()
         assert out.delivered == 20
         assert out.returned == 5
 
@@ -452,7 +452,7 @@ class TestExtractOutcome:
 
         g = ChannelGraph(2)
         g.open_channel(0, 1, 1, 0)
-        out = run(g, 0, 1, 1, SimConfig(seed=1))
+        out = Simulator(g, 0, 1, 1, SimConfig(seed=1)).run()
         assert out.delivered == 1
         assert out.flow.positive_edges() == {(0, 1): 1}
 

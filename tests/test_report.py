@@ -15,14 +15,15 @@ from hushrelay.report import (
     relay_report,
     run_report,
 )
-from hushrelay.sim import SimConfig, run
+from hushrelay.sim import SimConfig, Simulator
 from hushrelay.topology import BAConfig, WorkloadConfig, generate_ba, generate_workload
 
 from .conftest import A, B, C, R, S, run_report_observed
+from .oracles import add_flow
 
 
 def worked_outcome(example_graph):
-    return run(example_graph, S, R, 15, SimConfig(seed=7))
+    return Simulator(example_graph, S, R, 15, SimConfig(seed=7)).run()
 
 
 class TestBuildReport:
@@ -53,20 +54,20 @@ class TestBuildReport:
                 raise AssertionError("sealed a fact that does not fit")
 
         f = FlowAssignment(*edge)
-        f.add(*edge, amount)
+        add_flow(f, *edge, amount)
         with pytest.raises(FactOverflow):
             run_report(f, rng=Random(1), cipher=NoSealing())
 
     def test_circulation_rejected(self):
         f = FlowAssignment(0, 3)
         for v, w, a in [(0, 1, 5), (1, 3, 5), (1, 2, 3), (2, 4, 3), (4, 1, 3)]:
-            f.add(v, w, a)
+            add_flow(f, v, w, a)
         with pytest.raises(ValueError, match=r"nodes \[0, 1, 2, 4\] are not ordered"):
             run_report(f, rng=Random(1))
 
     def test_largest_u64_amount_round_trips(self):
         f = FlowAssignment(0, 1)
-        f.add(0, 1, 2**64 - 1)
+        add_flow(f, 0, 1, 2**64 - 1)
         rr = run_report(f, rng=Random(1))
         rec = reconstruct(0, 1, rr.source_packets, rr.k_sink, rr.filler_set)
         assert rec.flow == f
@@ -115,7 +116,7 @@ class TestReconstruct:
 
         g = ChannelGraph(2)
         g.open_channel(0, 1, 9, 0)
-        out = run(g, 0, 1, 4, SimConfig(seed=1))
+        out = Simulator(g, 0, 1, 4, SimConfig(seed=1)).run()
         rr = run_report(out.flow, rng=Random(9))
         rec = reconstruct(0, 1, rr.source_packets, rr.k_sink, rr.filler_set)
         assert rec.paths == [((0, 1), 4)]
@@ -207,7 +208,7 @@ class TestRoundTripCorpus:
         for seed in range(25):
             g = generate_ba(BAConfig(n=6 + seed, m_attach=2, seed=seed))
             for t in generate_workload(g, WorkloadConfig(txn_count=2, seed=seed)):
-                out = run(g, t.s, t.r, t.val, SimConfig(seed=seed))
+                out = Simulator(g, t.s, t.r, t.val, SimConfig(seed=seed)).run()
                 if out.delivered == 0:
                     continue
                 rr = run_report(out.flow, rng=Random(seed))
@@ -244,11 +245,11 @@ class TestLengthUniformity:
     def test_equal_depth_instances_equal_lengths(self):
         # same hop depth, very different values and identities
         f1 = FlowAssignment(0, 3)
-        f1.add(0, 1, 70)
-        f1.add(1, 3, 70)
+        add_flow(f1, 0, 1, 70)
+        add_flow(f1, 1, 3, 70)
         f2 = FlowAssignment(5, 9)
-        f2.add(5, 8, 3)
-        f2.add(8, 9, 3)
+        add_flow(f2, 5, 8, 3)
+        add_flow(f2, 8, 9, 3)
         r1 = run_report(f1, rng=Random(15))
         r2 = run_report(f2, rng=Random(16))
         assert r1.depth == r2.depth

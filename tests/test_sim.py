@@ -12,7 +12,6 @@ from hushrelay.sim import (
     LatencyModel,
     SimConfig,
     Simulator,
-    run,
 )
 from hushrelay.topology import BAConfig, generate_ba
 
@@ -21,17 +20,24 @@ from .oracles import public_hops
 
 
 class TestLatencyModel:
-    def test_constant(self):
-        m = LatencyModel.constant(3)
-        assert m.sample(None) == 3
-
-    def test_uniform_bounds(self):
-        import random
-
-        m = LatencyModel.uniform(1, 10)
-        rng = random.Random(5)
-        draws = [m.sample(rng) for _ in range(200)]
-        assert min(draws) >= 1 and max(draws) <= 10
+    @pytest.mark.parametrize("spec", ["const:3", "uniform:1:10"])
+    def test_dispatch_draws_each_delay_from_the_model(self, spec):
+        # the delivery ticks of real runs: on one channel, S's push at tick 0
+        # is the first delivery, so it lands after exactly one drawn delay
+        latency = LatencyModel.parse(spec)
+        g = ChannelGraph(2)
+        g.open_channel(0, 1, 10, 0)
+        firsts = []
+        for seed in range(8):
+            buf = io.StringIO()
+            Simulator(g, 0, 1, 5, SimConfig(seed=seed, latency=latency), trace=buf).run()
+            ticks = [int(line.split()[0][2:]) for line in buf.getvalue().splitlines()]
+            assert latency.lo <= ticks[0] <= latency.hi
+            if latency.lo == latency.hi:
+                assert all(t % latency.lo == 0 for t in ticks)
+            firsts.append(ticks[0])
+        # the seed drives the draws: a uniform model does not repeat one delay
+        assert (len(set(firsts)) > 1) == (latency.lo < latency.hi)
 
     def test_parse_forms(self):
         assert LatencyModel.parse("const:2") == LatencyModel.constant(2)
@@ -47,20 +53,20 @@ class TestLatencyModel:
 
 class TestRun:
     def test_worked_example_terminates_with_full_delivery(self, example_graph):
-        out = run(example_graph, S, R, 15, SimConfig(seed=0))
+        out = Simulator(example_graph, S, R, 15, SimConfig(seed=0)).run()
         assert out.delivered == 15
 
     def test_isolated_sink_returns_everything(self):
         g = ChannelGraph(3)
         g.open_channel(0, 1, 50, 50)
-        out = run(g, 0, 2, 9, SimConfig(seed=0))
+        out = Simulator(g, 0, 2, 9, SimConfig(seed=0)).run()
         assert out.delivered == 0
         assert out.returned == 9
 
     def test_isolated_source_returns_everything(self):
         g = ChannelGraph(3)
         g.open_channel(1, 2, 50, 50)
-        out = run(g, 0, 2, 9, SimConfig(seed=0))
+        out = Simulator(g, 0, 2, 9, SimConfig(seed=0)).run()
         assert out.delivered == 0
         assert out.returned == 9
 
@@ -68,7 +74,7 @@ class TestRun:
         traces = []
         for _ in range(2):
             buf = io.StringIO()
-            run(example_graph, S, R, 15, SimConfig(seed=42), trace=buf)
+            Simulator(example_graph, S, R, 15, SimConfig(seed=42), trace=buf).run()
             traces.append(buf.getvalue())
         assert traces[0] == traces[1]
         assert traces[0]  # non-empty
@@ -76,13 +82,13 @@ class TestRun:
     def test_different_seed_may_change_trace_not_outcome(self, example_graph):
         cfg_a = SimConfig(seed=1, latency=LatencyModel.uniform(1, 10))
         cfg_b = SimConfig(seed=2, latency=LatencyModel.uniform(1, 10))
-        out_a = run(example_graph, S, R, 15, cfg_a)
-        out_b = run(example_graph, S, R, 15, cfg_b)
+        out_a = Simulator(example_graph, S, R, 15, cfg_a).run()
+        out_b = Simulator(example_graph, S, R, 15, cfg_b).run()
         assert out_a.delivered == out_b.delivered == 15
 
     def test_trace_field_order(self, example_graph):
         buf = io.StringIO()
-        run(example_graph, S, R, 15, SimConfig(seed=0), trace=buf)
+        Simulator(example_graph, S, R, 15, SimConfig(seed=0), trace=buf).run()
         first = buf.getvalue().splitlines()[0].split()
         assert first[0].startswith("t=")
         assert first[4].startswith("δ=")
@@ -91,7 +97,7 @@ class TestRun:
 
     def test_event_budget_exhaustion_carries_state(self, example_graph):
         with pytest.raises(EventBudgetExhausted) as exc:
-            run(example_graph, S, R, 15, SimConfig(seed=0, max_events=3))
+            Simulator(example_graph, S, R, 15, SimConfig(seed=0, max_events=3)).run()
         assert exc.value.sim.events_dispatched > 0
 
     def test_label_bound_checked_without_invariant_checks(self, example_graph):
@@ -104,7 +110,7 @@ class TestRun:
             sim.run()
 
     def test_simulated_time_is_last_delivery(self, example_graph):
-        out = run(example_graph, S, R, 15, SimConfig(seed=0))
+        out = Simulator(example_graph, S, R, 15, SimConfig(seed=0)).run()
         # hand-checked constant-latency schedule: S starts at its hop
         # distance 3 and pushes 10/5 to A/B (labels 2) at t=0; they arrive at
         # t=1, and A and B push to C (label 1), arriving at t=2; C pushes 15
@@ -155,7 +161,7 @@ class TestDelivery:
 
 class TestDeterminism:
     def test_metrics_identical_across_runs(self, example_graph):
-        outs = [run(example_graph, S, R, 15, SimConfig(seed=9)) for _ in range(2)]
+        outs = [Simulator(example_graph, S, R, 15, SimConfig(seed=9)).run() for _ in range(2)]
         assert outs[0].messages_sent == outs[1].messages_sent
         assert outs[0].relabels == outs[1].relabels
         assert outs[0].simulated_time == outs[1].simulated_time
@@ -164,7 +170,9 @@ class TestDeterminism:
     def test_delivery_schedule_robustness(self, example_graph):
         # outcome must not depend on the latency schedule
         delivered = {
-            run(example_graph, S, R, 25, SimConfig(seed=s, latency=LatencyModel.uniform(1, 10))).delivered
+            Simulator(
+                example_graph, S, R, 25, SimConfig(seed=s, latency=LatencyModel.uniform(1, 10))
+            ).run().delivered
             for s in range(20)
         }
         assert delivered == {20}
@@ -232,7 +240,7 @@ class TestSinkDistanceWave:
         # every channel has zero capacity toward S, so R has no residual
         # channel and returns everything to the feeder, by run() and step()
         # alike
-        out = run(example_graph, R, S, 15, SimConfig(seed=0))
+        out = Simulator(example_graph, R, S, 15, SimConfig(seed=0)).run()
         assert out.delivered == 0
         assert out.returned == 15
         stepped = Simulator(example_graph, R, S, 15, SimConfig(seed=0))
@@ -272,7 +280,7 @@ class TestLazyStates:
         g = example_graph if graph == "example" else drain_graph
         buf = io.StringIO()
         cfg = SimConfig(seed=196, latency=LatencyModel.parse(latency))
-        out = run(g, s, r, val, cfg, trace=buf)
+        out = Simulator(g, s, r, val, cfg, trace=buf).run()
         receivers = {int(line.split()[3]) for line in buf.getvalue().splitlines()}
         informed = receivers - {s, r} - {g.n, g.n + 1}
         assert out.informed_relays == len(informed) == expected
@@ -293,17 +301,17 @@ class TestGlobalRelabeling:
         (53, 93, 143, 104), (72, 94, 134, 114), (43, 61, 160, 152),
     ])
     def test_drain_payment_is_cheap(self, drain_graph, s, r, val, max_flow):
-        out = run(drain_graph, s, r, val, SimConfig(seed=0))
+        out = Simulator(drain_graph, s, r, val, SimConfig(seed=0)).run()
         assert out.delivered == max_flow
         assert out.global_relabels >= 1
         assert out.messages_sent < 10_000
 
     def test_worked_example_needs_no_epoch(self, example_graph):
-        assert run(example_graph, S, R, 15, SimConfig(seed=0)).global_relabels == 0
+        assert Simulator(example_graph, S, R, 15, SimConfig(seed=0)).run().global_relabels == 0
 
     def test_feasible_desk_scale_payment_needs_no_epoch(self):
         g = generate_ba(BAConfig(n=1000, m_attach=2, cap_range=(20, 100), seed=61))
-        out = run(g, 913, 475, 49, SimConfig(seed=0))
+        out = Simulator(g, 913, 475, 49, SimConfig(seed=0)).run()
         assert out.delivered == 49
         assert out.global_relabels == 0
 
@@ -315,7 +323,7 @@ class TestGlobalRelabeling:
         # messages inside, one over the bridge.
         g = bridged_graph(30, 8, 1)
         buf = io.StringIO()
-        out = run(g, 34, 29, 30, SimConfig(seed=0), trace=buf)
+        out = Simulator(g, 34, 29, 30, SimConfig(seed=0), trace=buf).run()
         kinds = [line.split()[1] for line in buf.getvalue().splitlines()]
         assert len(kinds) == out.messages_sent
         assert out.global_relabels == 1
@@ -342,7 +350,7 @@ class TestGlobalRelabeling:
 
         monkeypatch.setattr(protocol, "on_push_request", watch)
         g = loads_network(CUT_OFF_RACE_NET)
-        out = run(g, 34, 28, 28, SimConfig(seed=0))
+        out = Simulator(g, 34, 28, 28, SimConfig(seed=0)).run()
         assert out.global_relabels == 2
         assert sorted(set(refused)) == [(25, 30), (36, 17)] and len(refused) == 15
         assert out.delivered == 4 and out.returned == 24
