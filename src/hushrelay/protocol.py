@@ -39,8 +39,8 @@ virtual sink absorbing at most val from r.  Both are passive: they accept
 pushes but never originate any.  Undeliverable excess climbs labels until it
 drains back to the virtual source, so termination leaves every real node
 with zero excess.  A real node's state is built when it is first looked up,
-which in a run is when the first message reaches it: a payment costs the
-nodes it touches, plus one breadth-first search for the first labels.
+which in a run is when a message other than a LabelUpdate reaches it, and
+its first labels come from a breadth-first search from r that stops there.
 """
 
 from __future__ import annotations
@@ -174,66 +174,79 @@ class RoutingOutcome:
     simulated_time: int
     # epochs started after the first, each by a fresh SinkDistance wave
     global_relabels: int = 0
-    # real nodes other than s and r that received any message: the states
-    # built beyond the four endpoints, so it holds only if nothing indexed
-    # the run's NodeStates before the outcome (see NodeStates)
+    # real nodes other than s and r that received any message: the states built
+    # beyond the four endpoints, plus the nodes that only heard a LabelUpdate
     informed_relays: int = 0
-
-
-def topology_labels(g: ChannelGraph, r: NodeId) -> list[int]:
-    """Each node's hop distance to r over the public channels, by one breadth-first search.
-
-    A node with no channel path to r takes n+3, one above the feeder: its
-    channels lead only to nodes that cannot reach r either, so any common
-    label keeps the labeling valid, and a source among them returns the
-    whole value to the feeder at once.
-    """
-    cap = g.cap
-    missed = g.n + 3
-    labels = [missed] * g.n
-    labels[r] = 0
-    frontier = [r]
-    hops = 0
-    while frontier:
-        hops += 1
-        reached = []
-        for w in frontier:
-            for v in cap[w]:
-                if labels[v] == missed:
-                    labels[v] = hops
-                    reached.append(v)
-        frontier = reached
-    return labels
 
 
 class NodeStates(dict):
     """Node states by id; a real node's is built from the graph the first time it is looked up.
 
-    Iteration and `len` see only the states built so far.  In a run, the
-    simulator's dispatch is the only indexing, so the states built are the
-    endpoints plus the nodes that received a message, which is what
-    `RoutingOutcome.informed_relays` counts.  Indexing from outside builds
-    a state and raises that count: inspect with `get` or `in`, which build
-    nothing.
+    Iteration and `len` see only the states built so far.  In a run, only
+    the dispatch indexes: it builds the endpoints and the nodes reached by a
+    message other than a LabelUpdate, which only goes into `heard` (merged
+    by a later build).  `RoutingOutcome.informed_relays` counts both.  Indexing
+    a node never reached raises that count; `get`, `in` and `label` build nothing.
     """
 
-    def __init__(self, g: ChannelGraph, labels: list[int]):
+    def __init__(self, g: ChannelGraph, r: NodeId):
         super().__init__()
         self._cap = g.cap
-        self._labels = labels
+        # a search from r: nodes within _depth hops are labeled, _frontier at _depth
+        self._labels = [g.n + 3] * g.n
+        self._labels[r] = 0
+        self._frontier, self._depth = [r], 0
+        self.heard: dict[NodeId, dict[NodeId, int]] = {}
+
+    def label(self, v: NodeId) -> int:
+        """Real node v's first label: its hop distance to r over the public channels.
+
+        The search resumes until it labels v.  A node with no channel path to
+        r takes n+3, one above the feeder: its channels lead only to nodes
+        that cannot reach r either, so any common label keeps the labeling
+        valid, and a source among them returns the whole value at once.
+        """
+        labels, cap = self._labels, self._cap
+        missed = len(labels) + 3
+        while self._frontier and labels[v] > self._depth:
+            depth = self._depth = self._depth + 1
+            reached = []
+            for w in self._frontier:
+                for u in cap[w]:
+                    if labels[u] == missed:
+                        labels[u] = depth
+                        reached.append(u)
+            self._frontier = reached
+        return labels[v]
+
+    def hear(self, v: NodeId, m: LabelUpdate) -> None:
+        """on_label_update for a node not built: keep each sender's highest label, build nothing."""
+        if m.sender not in self._cap[v]:
+            raise UnknownNeighbor(f"node {v} got a label update from non-neighbor {m.sender}")
+        heard = self.heard.setdefault(v, {})
+        if m.new_label > heard.get(m.sender, 0):
+            heard[m.sender] = m.new_label
 
     def __missing__(self, v: NodeId) -> NodeState:
-        if not 0 <= v < len(self._labels):
-            raise KeyError(v)
         labels = self._labels
+        if not 0 <= v < len(labels):
+            raise KeyError(v)
+        label = labels[v] if labels[v] <= self._depth else self.label(v)
         cap = self._cap[v]
         nbrs = sorted(cap)
+        far = label + 1  # the level of a neighbor the search has not labeled yet
+        cache = {w: labels[w] if labels[w] < far else far for w in nbrs}
+        heard = self.heard.pop(v, None)
+        if heard:
+            for w, lbl in heard.items():
+                if lbl > cache[w]:
+                    cache[w] = lbl
         st = self[v] = NodeState(
             id=v,
-            label=labels[v],
+            label=label,
             edge_flow=dict.fromkeys(nbrs, 0),
             cap=cap,
-            neighbor_labels={w: labels[w] for w in nbrs},
+            neighbor_labels=cache,
             channel_neighbors=nbrs,
             n=len(labels),
         )
@@ -243,7 +256,7 @@ class NodeStates(dict):
 def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> NodeStates:
     """Per-node states for routing val from s to r; only the four endpoints' are built here.
 
-    Every real node starts at its hop distance to r (`topology_labels`), and
+    Every real node starts at its hop distance to r (`NodeStates.label`), and
     so does its cache of each neighbor's label.  Virtual endpoints take ids
     n and n+1; their edges exist only in the node states, never in the
     channel graph.  The virtual source starts at label n+2 with the full
@@ -257,8 +270,7 @@ def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> NodeStat
         if not 0 <= v < g.n:
             raise ValueError(f"node {v} out of range 0..{g.n - 1}")
     sp, rp = g.n, g.n + 1
-    labels = topology_labels(g, r)
-    states = NodeStates(g, labels)
+    states = NodeStates(g, r)
 
     # s and r gain a virtual peer, so they get copies of the graph's dicts
     src, snk = states[s], states[r]
@@ -275,7 +287,7 @@ def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> NodeStat
         label=g.n + 2,
         edge_flow={s: val},
         cap={s: val},
-        neighbor_labels={s: labels[s]},
+        neighbor_labels={s: src.label},
         passive=True,
     )
     states[rp] = NodeState(
@@ -553,5 +565,5 @@ def extract_outcome(
         simulated_time=simulated_time,
         global_relabels=global_relabels,
         # every built state but s, r and the virtual endpoints received a message
-        informed_relays=len(states) - 4,
+        informed_relays=len(states) - 4 + len(states.heard),
     )

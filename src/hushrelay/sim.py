@@ -243,8 +243,8 @@ class Simulator:
                 slot = slots[now % size]
             done += 1
             to, msg = slot.popleft()
-            st = states[to]
             if msg is None:
+                st = states[to]
                 st.wake_scheduled = False
                 label_before = st.label
                 out = on_activate(st)
@@ -267,30 +267,38 @@ class Simulator:
                 if trace is not None:
                     self._trace_line(now, to, msg)
                 kind = type(msg)
-                if kind is SinkDistance or kind is CutOff:
-                    if kind is SinkDistance:
-                        out = on_sink_distance(st, msg)
-                    else:
-                        out = on_cut_off(st, msg)
-                    waves += len(out) - 1
-                    if not waves:
-                        out = self._wave_died(kind, relabels)
-                        waves = len(out)
-                elif kind is PushRequest:
-                    out = on_push_request(st, msg)
-                elif kind is LabelUpdate:
+                if kind is LabelUpdate:
+                    st = states.get(to)
+                    if st is None:  # a node not built only records what it heard
+                        states.hear(to, msg)
+                        continue
                     on_label_update(st, msg)
                     out = ()
                 else:
-                    on_reply(st, msg)
-                    out = ()
+                    st = states[to]
+                    if kind is SinkDistance or kind is CutOff:
+                        if kind is SinkDistance:
+                            out = on_sink_distance(st, msg)
+                        else:
+                            out = on_cut_off(st, msg)
+                        waves += len(out) - 1
+                        if not waves:
+                            out = self._wave_died(kind, relabels)
+                            waves = len(out)
+                    elif kind is PushRequest:
+                        out = on_push_request(st, msg)
+                    else:
+                        on_reply(st, msg)
+                        out = ()
                 if st.excess > 0 and not st.passive and not st.wake_scheduled:
                     st.wake_scheduled = True
                     slot.append((to, None))
-            for dest, m in out:
-                sent += 1
-                delay = const_delay if const_delay is not None else rng_draw(lat_lo, lat_hi)
-                slots[(now + delay) % size].append((dest, m))
+            sent += len(out)  # each (dest, message) pair is an event entry as it is
+            if const_delay is not None:
+                slots[(now + const_delay) % size].extend(out)
+            else:
+                for event in out:
+                    slots[(now + rng_draw(lat_lo, lat_hi)) % size].append(event)
             if check:
                 protocol.check_node_invariants(st, n)
         self._waves = waves
@@ -305,11 +313,11 @@ class Simulator:
         return self._dispatch(1) == 1
 
     def _trace_line(self, t: int, to: NodeId, msg: Message) -> None:
-        frm = msg.sender
-        amount = getattr(msg, "amount", 0)
+        st = self.states.get(to)  # tracing builds no state
         self._trace.write(
-            f"t={t} {_EVENT_NAMES[type(msg)]} {frm} {to} δ={amount} "
-            f"d_from={self.states[frm].label} d_to={self.states[to].label}\n"
+            f"t={t} {_EVENT_NAMES[type(msg)]} {msg.sender} {to} δ={getattr(msg, 'amount', 0)} "
+            f"d_from={self.states[msg.sender].label} "
+            f"d_to={st.label if st is not None else self.states.label(to)}\n"
         )
 
     def quiescent(self) -> bool:

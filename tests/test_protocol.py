@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hushrelay import protocol
@@ -6,6 +8,7 @@ from hushrelay.protocol import (
     CutOff,
     LabelUpdate,
     Nak,
+    NodeStates,
     ProtocolError,
     PushRequest,
     SameSourceSink,
@@ -31,6 +34,29 @@ from .oracles import public_hops
 SP, RP = 5, 6  # virtual endpoints for the five-node example
 
 
+def unreachable_tail_graph(pick: int) -> ChannelGraph:
+    """A BA network with zero-capacity directions, plus a path 150-151-152 and a lone node 153 with no channel to it."""
+    ba = generate_ba(BAConfig(n=150, m_attach=1 + pick % 3, cap_range=(0, 3), seed=pick))
+    g = ChannelGraph(154)
+    for ch in ba.channels():
+        g.open_channel(*ch)
+    g.open_channel(150, 151, 0, 4)
+    g.open_channel(151, 152, 2, 2)
+    return g
+
+
+class ReadCounter(list):
+    """A graph's per-node channel dicts that record which nodes' channels were read."""
+
+    def __init__(self, cap):
+        super().__init__(cap)
+        self.read = set()
+
+    def __getitem__(self, v):
+        self.read.add(v)
+        return super().__getitem__(v)
+
+
 class TestInitInstance:
     def test_virtual_source_label_is_n_plus_2(self, example_graph):
         states = init_instance(example_graph, S, R, 15)
@@ -38,14 +64,8 @@ class TestInitInstance:
 
     @pytest.mark.parametrize("pick", range(4))
     def test_labels_and_caches_are_public_hop_distances(self, pick):
-        # a BA network with zero-capacity directions, plus a path 150-151-152
-        # and a lone node 153 that have no channel to it: those take n+3
-        ba = generate_ba(BAConfig(n=150, m_attach=1 + pick % 3, cap_range=(0, 3), seed=pick))
-        g = ChannelGraph(154)
-        for ch in ba.channels():
-            g.open_channel(*ch)
-        g.open_channel(150, 151, 0, 4)
-        g.open_channel(151, 152, 2, 2)
+        # nodes 150-153 have no channel path to r: those take n+3
+        g = unreachable_tail_graph(pick)
         s, r = 3 * pick + 1, 7 * pick + 2
         states = init_instance(g, s, r, 5)
         hops = public_hops(g, r)
@@ -89,6 +109,42 @@ class TestInitInstance:
     def test_zero_value_rejected(self, example_graph):
         with pytest.raises(ZeroValue):
             init_instance(example_graph, S, R, 0)
+
+
+class TestFirstLabels:
+    @pytest.mark.parametrize("pick", range(4))
+    def test_label_is_the_public_hop_distance_in_any_order(self, pick):
+        g = unreachable_tail_graph(pick)
+        r = 7 * pick + 2
+        hops = public_hops(g, r)
+        expected = {v: hops.get(v, g.n + 3) for v in range(g.n)}
+        order = random.Random(pick).sample(range(g.n), g.n)
+        states = NodeStates(g, r)
+        assert {v: states.label(v) for v in order} == expected
+        assert len(states) == 0  # labeling builds nothing
+        # states built in a random order start from the same labels, and so
+        # do their caches of each neighbor's label
+        states = NodeStates(g, r)
+        for v in order:
+            st = states[v]
+            assert st.label == expected[v], v
+            assert st.neighbor_labels == {w: expected[w] for w in g.cap[v]}, v
+
+    @pytest.mark.parametrize("ring", [False, True])
+    def test_search_stops_at_the_level_of_the_nodes_built(self, ring):
+        # r = 0 on a path or ring of 100 nodes: building node 2 reads the
+        # channels of the levels below node 2's, and of node 2 itself
+        g = ChannelGraph(100)
+        for v in range(99 + ring):
+            g.open_channel(v, (v + 1) % 100, 5, 5)
+        g.cap = ReadCounter(g.cap)
+        states = NodeStates(g, 0)
+        st = states[2]
+        assert (st.label, st.neighbor_labels) == (2, {1: 1, 3: 3})
+        assert g.cap.read == ({0, 1, 2, 99} if ring else {0, 1, 2})
+        # labeling node 50 expands every level below its own, and no further
+        assert states.label(50) == 50
+        assert g.cap.read == {*range(50), *(range(51, 100) if ring else ())}
 
 
 class TestOnActivate:
@@ -285,6 +341,42 @@ class TestOnLabelUpdate:
         states = zero_labeled(example_graph, S, R, 15)
         with pytest.raises(UnknownNeighbor):
             on_label_update(states[A], LabelUpdate(B, 1))
+
+
+class TestHeardOnly:
+    """NodeStates.hear: a LabelUpdate to a node with no state yet."""
+
+    def test_update_to_unbuilt_node_builds_nothing(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        states.hear(A, LabelUpdate(S, 5))
+        assert A not in states
+        assert states.heard == {A: {S: 5}}
+
+    def test_stale_lower_value_discarded(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        states.hear(A, LabelUpdate(S, 5))
+        states.hear(A, LabelUpdate(S, 4))
+        # below C's first label (1): the build keeps the first label
+        states.hear(A, LabelUpdate(C, 0))
+        assert states.heard == {A: {S: 5}}
+        assert states[A].neighbor_labels == {S: 5, C: 1}
+
+    def test_highest_label_heard_is_cached_once_built(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        for label in (4, 6, 5):
+            states.hear(C, LabelUpdate(A, label))
+        states.hear(C, LabelUpdate(R, 3))
+        assert C not in states
+        st = states[C]
+        assert (st.label, st.neighbor_labels) == (1, {A: 6, B: 2, R: 3})
+        assert states.heard == {}
+
+    def test_non_neighbor_rejected_and_nothing_built(self, example_graph):
+        states = init_instance(example_graph, S, R, 15)
+        with pytest.raises(UnknownNeighbor):
+            states.hear(A, LabelUpdate(B, 3))
+        assert A not in states
+        assert states.heard == {}
 
 
 class TestOnSinkDistance:

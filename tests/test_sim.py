@@ -210,12 +210,19 @@ class TestSinkDistanceWave:
             first.setdefault(int(f[3]), int(f[6].removeprefix("d_to=")))
         relays = [v for v in first if v < g.n and v != s]
         assert {v: first[v] for v in relays} == {v: hops[v] for v in relays}
-        # every relabel broadcasts a label_update to each channel neighbor
+        # every relabel broadcasts a label_update to each channel neighbor;
+        # a node that heard nothing else has no state, and its label is the
+        # first label NodeStates.label gives without building one
         relabeled = {int(f[2]) for f in lines if f[1] == "label_update"}
-        unrelabeled = [v for v in sim.states if v < g.n and v not in relabeled]
+        receivers = [*sim.states, *sim.states.heard]
+        unrelabeled = [v for v in receivers if v < g.n and v not in relabeled]
         assert len(unrelabeled) > len(relabeled)
         for v in unrelabeled:
-            assert sim.states[v].label == hops[v], v
+            if v in sim.states:
+                assert sim.states[v].label == hops[v], v
+            else:
+                assert sim.states.label(v) == hops[v], v
+                assert v not in sim.states
 
     def test_one_trace_line_per_forwarding_edge(self):
         # 30 units from the ring to node 9 cross the 5-unit bridge, so the
@@ -257,9 +264,10 @@ class TestLazyStates:
         sim = Simulator(g, 637, 261, 33, SimConfig(seed=0))
         out = sim.run()
         assert (out.delivered, out.messages_sent, out.informed_relays) == (33, 20, 8)
-        # 8 relays, s, r and the virtual endpoints, of 1002
-        assert len(sim.states) == 12
-        built = dict(sim.states)
+        # of the 8 relays, 5 are built beside s, r and the virtual endpoints,
+        # of 1002, and 3 only heard a label update
+        assert (len(sim.states), len(sim.states.heard)) == (9, 3)
+        built, heard = dict(sim.states), dict(sim.states.heard)
 
         def build(states, v):
             raise AssertionError(f"built the state of node {v}")
@@ -267,7 +275,46 @@ class TestLazyStates:
         monkeypatch.setattr(NodeStates, "__missing__", build)
         assert sim.outcome() == out
         assert sim.quiescent()
-        assert sim.states == built
+        assert (sim.states, sim.states.heard) == (built, heard)
+
+    def test_label_update_to_unbuilt_node_builds_no_state(self):
+        # x - s - y - r, and z beyond y: s has no capacity toward y, so its
+        # excess climbs against x and drains back, and y only hears s relabel
+        x, s, y, r, z = range(5)
+        g = ChannelGraph(5)
+        g.open_channel(s, x, 10, 0)
+        g.open_channel(s, y, 0, 5)
+        g.open_channel(y, r, 5, 5)
+        g.open_channel(y, z, 1, 1)
+        buf = io.StringIO()
+        sim = Simulator(g, s, r, 5, SimConfig(seed=0), trace=buf)
+        out = sim.run()
+        assert (out.delivered, out.returned, out.informed_relays) == (0, 5, 2)
+        to_y = [f[1] for f in map(str.split, buf.getvalue().splitlines()) if int(f[3]) == y]
+        assert to_y == ["label_update"] * 3
+        assert sorted(sim.states) == [x, s, r, 5, 6]
+        # s's last relabel took it to 8, past the feeder's n+2
+        assert sim.states[s].label == 8
+        assert sim.states.heard == {y: {s: 8}}
+        # built later, y caches the highest label it heard; it was already
+        # counted, and only a node no message reached raises the count
+        assert sim.states[y].neighbor_labels == {s: 8, r: 0, z: 2}
+        assert sim.states.heard == {}
+        assert sim.outcome().informed_relays == 2
+        sim.states[z]
+        assert sim.outcome().informed_relays == 3
+
+    def test_traced_run_builds_the_states_an_untraced_run_builds(self):
+        # payments on a BA network under jittered latency
+        g = generate_ba(BAConfig(n=300, m_attach=2, cap_range=(20, 100), seed=61))
+        cfg = SimConfig(seed=5, latency=LatencyModel.parse("uniform:1:10"))
+        for s, r, val in [(17, 250, 60), (3, 120, 90), (200, 41, 45)]:
+            runs = []
+            for trace in (None, io.StringIO()):
+                sim = Simulator(g, s, r, val, cfg, trace=trace)
+                runs.append((sim.run(), dict(sim.states), sim.states.heard))
+            assert runs[0] == runs[1]
+            assert runs[0][2]  # some node only heard label updates
 
     @pytest.mark.parametrize("graph, s, r, val, latency, expected", [
         ("example", S, R, 15, "const:1", 3),
