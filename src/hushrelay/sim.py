@@ -11,12 +11,14 @@ latency model.  Each run starts in epoch 1, with no wave: every node starts
 at its hop distance to the sink in the public channel graph, and the
 source's activation is queued at tick 0.
 
-Global relabeling: after 2n relabels since the last epoch began, and only
-once both waves of that epoch are gone, the sink starts the next epoch's
-SinkDistance wave.  The dispatcher counts the wave messages in flight, so it
-sees for free when a wave dies out (a deployment would pay one echo per
-wave message).  When an epoch's SinkDistance wave dies out, the source
-starts that epoch's CutOff wave.
+Global relabeling follows the global-update frequency rule of Cherkassky
+and Goldberg's hi_pr: a relabel of node v counts RELABEL_WORK + deg(v) work.
+Once the work since the last epoch began reaches 2(6n + m), m the channel
+count, and only once both waves of that epoch are gone, the sink starts the
+next epoch's SinkDistance wave.  The dispatcher counts the wave messages in
+flight, so it sees for free when a wave dies out (a deployment would pay one
+echo per wave message).  When an epoch's SinkDistance wave dies out, the
+source starts that epoch's CutOff wave.
 
 The dispatcher is single-threaded; handlers only touch the addressed node,
 so a sharded dispatcher preserving per-node serial execution and per-edge
@@ -59,6 +61,9 @@ class EventBudgetExhausted(Exception):
 # the event ring holds MAX_DELAY + 1 slots at most
 MAX_DELAY = 1000
 
+# work a relabel costs besides scanning its node's channels (hi_pr's BETA)
+RELABEL_WORK = 12
+
 
 @dataclass(frozen=True)
 class LatencyModel:
@@ -70,15 +75,14 @@ class LatencyModel:
     lo: int
     hi: int
 
-    @staticmethod
-    def constant(d: int) -> "LatencyModel":
-        return LatencyModel.uniform(d, d)
+    def __post_init__(self):
+        # the event ring needs every delay >= 1 and holds hi + 1 slots
+        if not 0 < self.lo <= self.hi <= MAX_DELAY:
+            raise ValueError(f"need 0 < lo <= hi <= MAX_DELAY ({MAX_DELAY})")
 
     @staticmethod
-    def uniform(lo: int, hi: int) -> "LatencyModel":
-        if not 0 < lo <= hi <= MAX_DELAY:
-            raise ValueError(f"need 0 < lo <= hi <= MAX_DELAY ({MAX_DELAY})")
-        return LatencyModel(lo, hi)
+    def constant(d: int) -> "LatencyModel":
+        return LatencyModel(d, d)
 
     @staticmethod
     def parse(spec: str) -> "LatencyModel":
@@ -88,7 +92,7 @@ class LatencyModel:
             if parts[0] == "const" and len(parts) == 2:
                 return LatencyModel.constant(int(parts[1]))
             if parts[0] == "uniform" and len(parts) == 3:
-                return LatencyModel.uniform(int(parts[1]), int(parts[2]))
+                return LatencyModel(int(parts[1]), int(parts[2]))
         except ValueError as exc:
             raise ValueError(f"bad latency spec {spec!r}: {exc}") from None
         raise ValueError(f"bad latency spec {spec!r}; use const:<d> or uniform:<lo>:<hi>")
@@ -147,9 +151,12 @@ class Simulator:
             else 50 * (g.n + 2) ** 2 * (g.channel_count + 2)
         )
         self.relabels = 0  # every relabel of the run, counted where it happens
+        self._work = 0  # RELABEL_WORK + deg(v) per relabel of v; drives the epochs
         # epoch 1 runs on the topology labels, with no wave
         self.epoch = 1
-        self._epoch_due = 2 * g.n
+        # relabel work between two epochs: 2(6n + m), hi_pr's default frequency
+        self._epoch_work = 2 * (6 * g.n + g.channel_count)
+        self._epoch_due = self._epoch_work
         # _waves: wave messages in flight
         self.messages_sent = self._waves = 0
         # s is active from the start: its activation is the first event
@@ -158,20 +165,20 @@ class Simulator:
 
     # -- global relabeling -------------------------------------------------
 
-    def _start_epoch(self, relabels: int) -> list[Outbound]:
+    def _start_epoch(self, work: int) -> list[Outbound]:
         """r starts the next epoch's SinkDistance wave; returns the wave's messages.
 
-        `relabels` counts every relabel so far; the epoch after this one is
-        due 2n relabels later.
+        `work` is the relabel work of the whole run so far; the epoch after
+        this one is due once _epoch_work more is done.
         """
         self.epoch += 1
-        self._epoch_due = relabels + 2 * self.graph.n
+        self._epoch_due = work + self._epoch_work
         sink = self.states[self.sink]
         sink.reached = self.epoch
         wave = SinkDistance(self.sink, 0, self.epoch)
-        return [(w, wave) for w in sink.channel_neighbors] or self._wave_died(SinkDistance, relabels)
+        return [(w, wave) for w in sink.channel_neighbors] or self._wave_died(SinkDistance, work)
 
-    def _wave_died(self, kind: type, relabels: int) -> list[Outbound]:
+    def _wave_died(self, kind: type, work: int) -> list[Outbound]:
         """The last message of the running wave, of message type `kind`, spawned none.
 
         Returns the next wave's messages: the epoch's CutOff wave after its
@@ -188,8 +195,8 @@ class Simulator:
                 self._slots[self.simulated_time % len(self._slots)].append((self.source, None))
             if out:
                 return out
-        if relabels >= self._epoch_due:
-            return self._start_epoch(relabels)
+        if work >= self._epoch_due:
+            return self._start_epoch(work)
         return []
 
     # -- dispatch --------------------------------------------------------
@@ -200,8 +207,8 @@ class Simulator:
         The one and only dispatch loop; run() and step() both use it, and
         once a run has started it is the only code that sends a message.
         Local bindings matter here: this loop runs once per event, and a
-        `drain` payment sends about 2.5k messages, the desk-scale workload's
-        infeasible payments about 25k at the median.  Events run from the
+        `drain` payment sends about 1.3k messages, the desk-scale workload's
+        infeasible payments about 12k at the median.  Events run from the
         current tick's slot in FIFO order.  When it is empty, the next
         non-empty slot within the ring is the next tick with an event; when
         every slot is empty, nothing is left to run.  Time advances only
@@ -227,6 +234,7 @@ class Simulator:
         on_cut_off = protocol.on_cut_off
         waves = self._waves
         relabels = self.relabels
+        work = self._work
         done = 0
         delivered = 0
         now = self.simulated_time
@@ -257,9 +265,10 @@ class Simulator:
                         st.wake_scheduled = True
                         slot.append((to, None))
                     relabels += 1
-                    if not waves and relabels >= self._epoch_due:
+                    work += RELABEL_WORK + len(st.channel_neighbors)
+                    if not waves and work >= self._epoch_due:
                         # the new epoch's wave goes out before this activation's messages
-                        wave = self._start_epoch(relabels)
+                        wave = self._start_epoch(work)
                         waves = len(wave)
                         out = [*wave, *out]
             else:
@@ -283,7 +292,7 @@ class Simulator:
                             out = on_cut_off(st, msg)
                         waves += len(out) - 1
                         if not waves:
-                            out = self._wave_died(kind, relabels)
+                            out = self._wave_died(kind, work)
                             waves = len(out)
                     elif kind is PushRequest:
                         out = on_push_request(st, msg)
@@ -303,6 +312,7 @@ class Simulator:
                 protocol.check_node_invariants(st, n)
         self._waves = waves
         self.relabels = relabels
+        self._work = work
         self.events_dispatched += done
         self.messages_sent = sent
         self.messages_delivered += delivered

@@ -18,8 +18,9 @@ sum to it, or when `reconstruct` of the flow report, sealed with a
 generator seeded by the instance's sim_seed, does not give back the flow;
 neither check feeds the digest.  It is an error when routing, decomposing
 or the report raises.  The output counts instances, wrong ones, errors and
-runs with a later epoch, and gives one sha256 over every instance's trace
-and outcome.
+runs with a later epoch, totals the messages of the instances whose value
+exceeds max-flow, and gives one sha256 over every instance's trace and
+outcome.
 """
 
 from __future__ import annotations
@@ -115,6 +116,7 @@ class Tally:
     wrong: int = 0
     errors: int = 0
     later_epochs: int = 0
+    infeasible_messages: int = 0  # summed over instances whose value exceeds max-flow
     scipy_checked: bool = False
     failures: list[str] = field(default_factory=list)
     digest: str = ""
@@ -151,6 +153,8 @@ def run_corpus(seed: int, count: int) -> Tally:
             tally.wrong += 1
             tally.failures.append(f"{what}: {'; '.join(problems)}")
         tally.later_epochs += out.global_relabels > 0
+        if inst.value > inst.max_flow:
+            tally.infeasible_messages += out.messages_sent
         digest.update(trace.encode())
         digest.update(
             repr((
@@ -173,7 +177,8 @@ def main(argv: list[str] | None = None) -> int:
         print(line)
     print(
         f"instances {tally.instances}  wrong {tally.wrong}  errors {tally.errors}  "
-        f"later_epochs {tally.later_epochs}  scipy {'on' if tally.scipy_checked else 'off'}"
+        f"later_epochs {tally.later_epochs}  infeasible_messages {tally.infeasible_messages}  "
+        f"scipy {'on' if tally.scipy_checked else 'off'}"
     )
     print(f"digest {tally.digest}")
     return 1 if tally.wrong or tally.errors else 0

@@ -127,7 +127,7 @@ def test_criterion_5_outcome_schedule_independent():
         delivered = {
             Simulator(
                 g, s, r, val,
-                SimConfig(seed=seed, latency=LatencyModel.uniform(1, 10)),
+                SimConfig(seed=seed, latency=LatencyModel(1, 10)),
             ).run().delivered
             for seed in range(20)
         }

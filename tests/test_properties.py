@@ -72,8 +72,9 @@ def test_oracle_and_routing_match_scipy_maximum_flow():
 
 
 def test_infeasible_payments_deliver_max_flow_under_jitter():
-    # values above max-flow drive relabels past the 2n trigger, so global
-    # relabeling epochs run while pushes are reordered by jittered latency
+    # values above max-flow drive relabel work past the epoch trigger, so
+    # global relabeling epochs run while pushes are reordered by jittered
+    # latency
     pytest.importorskip("scipy.sparse.csgraph")
     epochs = []
 
@@ -93,7 +94,7 @@ def test_infeasible_payments_deliver_max_flow_under_jitter():
         g, s, r, _ = random_instance(cfg, pick, 0)
         expected = maxflow_augmenting(g, s, r).max_value
         assert scipy_max_flow(g, s, r) == expected
-        cfg_sim = SimConfig(seed=pick, latency=LatencyModel.uniform(1, 10), check_invariants=True)
+        cfg_sim = SimConfig(seed=pick, latency=LatencyModel(1, 10), check_invariants=True)
         out = Simulator(g, s, r, expected + extra, cfg_sim).run()
         assert out.delivered == expected
         assert out.returned == extra
@@ -134,7 +135,7 @@ def test_outcome_is_schedule_independent(cfg, pick, val, latency_seed):
     base = Simulator(g, s, r, val, SimConfig(seed=0)).run()
     jittered = Simulator(
         g, s, r, val,
-        SimConfig(seed=latency_seed, latency=LatencyModel.uniform(1, 10)),
+        SimConfig(seed=latency_seed, latency=LatencyModel(1, 10)),
     ).run()
     assert jittered.delivered == base.delivered
 

@@ -8,6 +8,7 @@ from hushrelay.graph import ChannelGraph
 from hushrelay.netfile import dumps_network, loads_network
 from hushrelay.protocol import Nak, NodeStates, ProtocolError
 from hushrelay.sim import (
+    MAX_DELAY,
     EventBudgetExhausted,
     LatencyModel,
     SimConfig,
@@ -41,7 +42,7 @@ class TestLatencyModel:
 
     def test_parse_forms(self):
         assert LatencyModel.parse("const:2") == LatencyModel.constant(2)
-        assert LatencyModel.parse("uniform:1:10") == LatencyModel.uniform(1, 10)
+        assert LatencyModel.parse("uniform:1:10") == LatencyModel(1, 10)
 
     @pytest.mark.parametrize("bad", [
         "const:0", "uniform:0:5", "uniform:5:1", "nope", "const:x", "uniform:1:1000000000",
@@ -49,6 +50,13 @@ class TestLatencyModel:
     def test_invalid_specs_rejected(self, bad):
         with pytest.raises(ValueError):
             LatencyModel.parse(bad)
+
+    # a zero delay breaks the event ring's order, lo > hi and negative
+    # delays fail mid-run, and hi sizes the ring
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (3, 2), (-2, -1), (1, MAX_DELAY + 1)])
+    def test_direct_construction_checks_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="MAX_DELAY"):
+            LatencyModel(lo, hi)
 
 
 class TestRun:
@@ -80,8 +88,8 @@ class TestRun:
         assert traces[0]  # non-empty
 
     def test_different_seed_may_change_trace_not_outcome(self, example_graph):
-        cfg_a = SimConfig(seed=1, latency=LatencyModel.uniform(1, 10))
-        cfg_b = SimConfig(seed=2, latency=LatencyModel.uniform(1, 10))
+        cfg_a = SimConfig(seed=1, latency=LatencyModel(1, 10))
+        cfg_b = SimConfig(seed=2, latency=LatencyModel(1, 10))
         out_a = Simulator(example_graph, S, R, 15, cfg_a).run()
         out_b = Simulator(example_graph, S, R, 15, cfg_b).run()
         assert out_a.delivered == out_b.delivered == 15
@@ -171,7 +179,7 @@ class TestDeterminism:
         # outcome must not depend on the latency schedule
         delivered = {
             Simulator(
-                example_graph, S, R, 25, SimConfig(seed=s, latency=LatencyModel.uniform(1, 10))
+                example_graph, S, R, 25, SimConfig(seed=s, latency=LatencyModel(1, 10))
             ).run().delivered
             for s in range(20)
         }
@@ -276,10 +284,20 @@ class TestLazyStates:
         assert sim.outcome() == out
         assert sim.quiescent()
         assert (sim.states, sim.states.heard) == (built, heard)
+        monkeypatch.undo()
+        # a heard-only relay was already counted; only building a node no
+        # message reached raises the count
+        sim.states[next(iter(heard))]
+        assert sim.outcome().informed_relays == 8
+        sim.states[next(v for v in range(g.n) if v not in sim.states)]
+        assert sim.outcome().informed_relays == 9
 
     def test_label_update_to_unbuilt_node_builds_no_state(self):
         # x - s - y - r, and z beyond y: s has no capacity toward y, so its
-        # excess climbs against x and drains back, and y only hears s relabel
+        # excess climbs against x and drains back.  y hears s relabel twice
+        # before the epoch-2 wave reaches it and builds its state: the
+        # fifth relabel (s, x, s, x, s) brings the work to 3 * 14 + 2 * 13,
+        # 2(6n + m) = 68, and starts that wave
         x, s, y, r, z = range(5)
         g = ChannelGraph(5)
         g.open_channel(s, x, 10, 0)
@@ -288,21 +306,24 @@ class TestLazyStates:
         g.open_channel(y, z, 1, 1)
         buf = io.StringIO()
         sim = Simulator(g, s, r, 5, SimConfig(seed=0), trace=buf)
+        while y not in sim.states:
+            before = sorted(sim.states), {v: dict(h) for v, h in sim.states.heard.items()}
+            assert sim.step()
+        assert before == ([x, s, r, 5, 6], {y: {s: 6}})
+        # built by the wave, y caches the highest label it heard
+        assert sim.states[y].neighbor_labels == {s: 6, r: 0, z: 2}
+        assert sim.states.heard == {}
         out = sim.run()
-        assert (out.delivered, out.returned, out.informed_relays) == (0, 5, 2)
+        assert (out.delivered, out.returned, out.global_relabels) == (0, 5, 1)
+        # x, y, and z, which y's wave message built
+        assert out.informed_relays == 3
         to_y = [f[1] for f in map(str.split, buf.getvalue().splitlines()) if int(f[3]) == y]
-        assert to_y == ["label_update"] * 3
-        assert sorted(sim.states) == [x, s, r, 5, 6]
+        assert to_y == ["label_update", "label_update", "sink_distance", "label_update", "sink_distance"]
+        assert sorted(sim.states) == [x, s, y, r, z, 5, 6]
         # s's last relabel took it to 8, past the feeder's n+2
         assert sim.states[s].label == 8
-        assert sim.states.heard == {y: {s: 8}}
-        # built later, y caches the highest label it heard; it was already
-        # counted, and only a node no message reached raises the count
         assert sim.states[y].neighbor_labels == {s: 8, r: 0, z: 2}
         assert sim.states.heard == {}
-        assert sim.outcome().informed_relays == 2
-        sim.states[z]
-        assert sim.outcome().informed_relays == 3
 
     def test_traced_run_builds_the_states_an_untraced_run_builds(self):
         # payments on a BA network under jittered latency
@@ -353,6 +374,32 @@ class TestGlobalRelabeling:
         assert out.global_relabels >= 1
         assert out.messages_sent < 10_000
 
+    def test_epoch_starts_after_fixed_relabel_work(self, drain_graph, monkeypatch):
+        # Cherkassky & Goldberg's global-update frequency: each relabel of v
+        # is 12 + deg(v) work, and epoch 2's wave starts at the relabel that
+        # brings the work to 2(6n + m), not at relabel 2n
+        sim = Simulator(drain_graph, 53, 93, 143, SimConfig(seed=0))
+        relabeled = []  # (degree, epoch when the relabel began)
+        handler = protocol.relabel
+
+        def watch(v):
+            relabeled.append((len(v.channel_neighbors), sim.epoch))
+            return handler(v)
+
+        monkeypatch.setattr(protocol, "relabel", watch)
+        out = sim.run()
+        assert out.global_relabels == 1
+        n, m = drain_graph.n, drain_graph.channel_count
+        work = 0
+        for count, (degree, _) in enumerate(relabeled, 1):
+            work += 12 + degree
+            if work >= 2 * (6 * n + m):
+                break
+        # the relabel after that one is the first to run in epoch 2
+        assert [epoch for _, epoch in relabeled[count - 1:count + 1]] == [1, 2]
+        assert count != 2 * n
+        assert out.relabels == len(relabeled)
+
     def test_worked_example_needs_no_epoch(self, example_graph):
         assert Simulator(example_graph, S, R, 15, SimConfig(seed=0)).run().global_relabels == 0
 
@@ -384,8 +431,8 @@ class TestGlobalRelabeling:
         # which the wave reached, after node 29 had taken a cut-off level
         # over its residual channel to 30; the source returned 3 units that
         # could still have been delivered.  Routing 28 from 34 to 28 runs two
-        # later epochs, and nodes 25 and 36, which the last wave missed,
-        # refuse 15 pushes from nodes 30 and 17, which it reached.
+        # later epochs, and nodes 25 and 36, which the epoch-2 wave missed,
+        # refuse 3 pushes from nodes 30 and 17, which it reached.
         refused = []
         handler = protocol.on_push_request
 
@@ -399,7 +446,7 @@ class TestGlobalRelabeling:
         g = loads_network(CUT_OFF_RACE_NET)
         out = Simulator(g, 34, 28, 28, SimConfig(seed=0)).run()
         assert out.global_relabels == 2
-        assert sorted(set(refused)) == [(25, 30), (36, 17)] and len(refused) == 15
+        assert sorted(set(refused)) == [(25, 30), (36, 17)] and len(refused) == 3
         assert out.delivered == 4 and out.returned == 24
 
 
@@ -436,31 +483,41 @@ class TestPinnedSchedule:
 
     def test_drain_payment_with_an_epoch(self, drain_graph):
         out, digest = trace_digest(drain_graph, 53, 93, 143, "uniform:1:3", 0)
-        assert (out.global_relabels, out.messages_sent) == (1, 2118)
-        assert digest == "5ce61bf9ffbc88563d08a1d3712f5e9881856ec34f5f5cb09ec798220ea2544b"
+        assert (out.global_relabels, out.messages_sent) == (1, 1211)
+        assert digest == "481076cfff71f99593cc56333368f836c4536cd960c97f81f808c4749a21cb0c"
 
     def test_drain_payment_under_wide_jitter(self, drain_graph):
-        # delays of 5 to 60 ticks over 12801 ticks: the event ring of 61
-        # slots wraps around over 200 times, and some ticks carry no event
+        # delays of 5 to 60 ticks over 5995 ticks: the event ring of 61
+        # slots wraps around over 90 times, and some ticks carry no event
         out, digest = trace_digest(drain_graph, 53, 93, 143, "uniform:5:60", 0)
-        assert (out.global_relabels, out.messages_sent, out.simulated_time) == (1, 2142, 12801)
-        assert digest == "96efc10fccb9d22540472ac260c160cf5e3c9159b0f6891268f18af5a235336c"
+        assert (out.global_relabels, out.messages_sent, out.simulated_time) == (1, 1234, 5995)
+        assert digest == "8e23d49aa65bd25ecf38602326322981929c2d56ef554fdd21d222e94b1271c9"
 
-    def test_payment_that_rolls_back_an_in_flight_push(self):
-        # 160 units from 2 to 1 on four nodes, max-flow 147: one later epoch
-        # and 101 messages.  Node 3 first hears the epoch-2 wave from node 1
-        # while its push in flight saturates the channel to 1, so only the
+    def test_payment_that_rolls_back_an_in_flight_push(self, monkeypatch):
+        # 160 units from 2 to 1 on four nodes, max-flow 147: two later epochs
+        # and 106 messages.  Node 3 hears the epoch-3 wave from node 1 while
+        # its push in flight saturates the channel to 1, so only the
         # roll-back rule finds that residual edge.
-        out, digest = trace_digest(loads_network(ROLL_BACK_NET), 2, 1, 160, "uniform:1:10", 0)
-        assert (out.delivered, out.global_relabels, out.messages_sent) == (147, 1, 101)
-        assert digest == "45f831a3e13fc15e9ea24008364eb9b0ef8a5b471838b53c3948e80b04d13a8a"
+        rolled_back = []
+        handler = protocol.on_sink_distance
+
+        def watch(v, m):
+            if v.cap[m.sender] - v.edge_flow[m.sender] <= 0 and m.sender in v.pending:
+                rolled_back.append((v.id, m.sender, m.epoch))
+            return handler(v, m)
+
+        monkeypatch.setattr(protocol, "on_sink_distance", watch)
+        out, digest = trace_digest(loads_network(ROLL_BACK_NET), 2, 1, 160, "uniform:1:10", 20)
+        assert rolled_back == [(3, 1, 3)]
+        assert (out.delivered, out.global_relabels, out.messages_sent) == (147, 2, 106)
+        assert digest == "a3824f0fd9ad396379c83cf9cc612e95a31b8714b0c6c3936fe902ddba5e77fc"
 
     def test_step_reproduces_run_on_the_roll_back_payment(self):
         # step() returns mid-tick with activations still queued in the
         # tick's slot, and must resume them in the order run() gives
         g = loads_network(ROLL_BACK_NET)
-        ran = trace_digest(g, 2, 1, 160, "uniform:1:10", 0)
-        assert trace_digest(g, 2, 1, 160, "uniform:1:10", 0, stepped=True) == ran
+        ran = trace_digest(g, 2, 1, 160, "uniform:1:10", 20)
+        assert trace_digest(g, 2, 1, 160, "uniform:1:10", 20, stepped=True) == ran
 
 
 class TestPinnedPipeline:
@@ -479,7 +536,7 @@ class TestPinnedPipeline:
             "--latency", "uniform:1:3", "--format", "json", "--out", str(out),
         ]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "bb2a31060c3f00cd4d3c106d0bc649955784184f0eb10c2c8cd421d3173d43cb"
+        assert digest == "2872703e31d8a45fe6b7660238df5d5bdb0bace9a329684725927df49b3cfcd4"
 
 
 class TestGraphUntouched:
