@@ -39,8 +39,11 @@ virtual sink absorbing at most val from r.  Both are passive: they accept
 pushes but never originate any.  Undeliverable excess climbs labels until it
 drains back to the virtual source, so termination leaves every real node
 with zero excess.  A real node's state is built when it is first looked up,
-which in a run is when a message other than a LabelUpdate reaches it, and
-its first labels come from a breadth-first search from r that stops there.
+which in a run is when a message other than a LabelUpdate reaches it.  Its
+first labels come from a breadth-first search from r that completes the
+levels below its own and no more: a node one level past the last complete
+level has a channel into it, so that node, and each neighbor of it the
+search has not reached, is labeled from its own channels.
 """
 
 from __future__ import annotations
@@ -187,6 +190,9 @@ class NodeStates(dict):
     message other than a LabelUpdate, which only goes into `heard` (merged
     by a later build).  `RoutingOutcome.informed_relays` counts both.  Indexing
     a node never reached raises that count; `get`, `in` and `label` build nothing.
+    The first-label search from r completes one level fewer than the deepest
+    node looked up: a label past its complete levels comes from the node's
+    own channels and is never stored.
     """
 
     def __init__(self, g: ChannelGraph, r: NodeId):
@@ -196,27 +202,45 @@ class NodeStates(dict):
         self._labels = [g.n + 3] * g.n
         self._labels[r] = 0
         self._frontier, self._depth = [r], 0
+        # channel rows the checks of nodes past _depth have read since the
+        # search completed _depth; expanding the next level reads len(_frontier)
+        self._checked = 0
         self.heard: dict[NodeId, dict[NodeId, int]] = {}
+
+    def _expand(self) -> None:
+        """Complete the search's next level: label every node at _depth + 1."""
+        labels, cap = self._labels, self._cap
+        missed = len(labels) + 3
+        depth = self._depth = self._depth + 1
+        reached = []
+        for w in self._frontier:
+            for u in cap[w]:
+                if labels[u] == missed:
+                    labels[u] = depth
+                    reached.append(u)
+        self._frontier, self._checked = reached, 0
 
     def label(self, v: NodeId) -> int:
         """Real node v's first label: its hop distance to r over the public channels.
 
-        The search resumes until it labels v.  A node with no channel path to
-        r takes n+3, one above the feeder: its channels lead only to nodes
-        that cannot reach r either, so any common label keeps the labeling
-        valid, and a source among them returns the whole value at once.
+        Every node within _depth hops of r is labeled, so a node not labeled
+        yet with a channel to one at _depth is at _depth + 1: its own
+        channels show that, and the search goes no further.  Otherwise the
+        search completes one more level and looks again.  A node with no
+        channel path to r takes n+3, one above the feeder: its channels lead
+        only to nodes that cannot reach r either, so any common label keeps
+        the labeling valid, and a source among them returns the whole value
+        at once.
         """
-        labels, cap = self._labels, self._cap
-        missed = len(labels) + 3
-        while self._frontier and labels[v] > self._depth:
-            depth = self._depth = self._depth + 1
-            reached = []
-            for w in self._frontier:
-                for u in cap[w]:
-                    if labels[u] == missed:
-                        labels[u] = depth
-                        reached.append(u)
-            self._frontier = reached
+        labels = self._labels
+        while labels[v] > self._depth:
+            depth = self._depth
+            for u in self._cap[v]:
+                if labels[u] == depth:
+                    return depth + 1
+            if not self._frontier:
+                break
+            self._expand()
         return labels[v]
 
     def hear(self, v: NodeId, m: LabelUpdate) -> None:
@@ -228,14 +252,48 @@ class NodeStates(dict):
             heard[m.sender] = m.new_label
 
     def __missing__(self, v: NodeId) -> NodeState:
+        """Build v's state, with its label and its cache of each neighbor's.
+
+        A neighbor the search has not labeled is one level above v, except
+        when v is itself one level past the search's complete levels: then a
+        neighbor with a channel into the last complete level is at v's level.
+        Checking that reads one channel row per such neighbor.  Once the
+        checks since the last level was completed have read as many rows as
+        completing the next one would (one per node at _depth), the search
+        completes it instead: where most nodes get built, the checks at each
+        depth read about as many rows as that level's expansion, not more.
+        """
         labels = self._labels
         if not 0 <= v < len(labels):
             raise KeyError(v)
-        label = labels[v] if labels[v] <= self._depth else self.label(v)
+        label = labels[v]
+        if label > self._depth:
+            label = self.label(v)
+            if label == self._depth + 1 and self._checked >= len(self._frontier):
+                self._expand()
         cap = self._cap[v]
         nbrs = sorted(cap)
-        far = label + 1  # the level of a neighbor the search has not labeled yet
-        cache = {w: labels[w] if labels[w] < far else far for w in nbrs}
+        depth = self._depth
+        if label == depth + 1:
+            # v is one level past the search: a neighbor not labeled is at
+            # v's level if it has a channel into level depth, else one above
+            caps = self._cap
+            checked = self._checked
+            cache = {}
+            for w in nbrs:
+                lw = labels[w]
+                if lw > depth:
+                    lw = label + 1
+                    checked += 1
+                    for u in caps[w]:
+                        if labels[u] == depth:
+                            lw = label
+                            break
+                cache[w] = lw
+            self._checked = checked
+        else:
+            far = label + 1  # the level of a neighbor the search has not labeled yet
+            cache = {w: labels[w] if labels[w] < far else far for w in nbrs}
         heard = self.heard.pop(v, None)
         if heard:
             for w, lbl in heard.items():
@@ -257,7 +315,8 @@ def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> NodeStat
     """Per-node states for routing val from s to r; only the four endpoints' are built here.
 
     Every real node starts at its hop distance to r (`NodeStates.label`), and
-    so does its cache of each neighbor's label.  Virtual endpoints take ids
+    so does its cache of each neighbor's label; building s completes the
+    search's levels below d(s, r) and no more.  Virtual endpoints take ids
     n and n+1; their edges exist only in the node states, never in the
     channel graph.  The virtual source starts at label n+2 with the full
     amount already pushed to s; every node starts with zero excess.

@@ -221,7 +221,11 @@ class Simulator:
         sent = self.messages_sent
         lat_lo, lat_hi = self.cfg.latency.lo, self.cfg.latency.hi
         const_delay = lat_lo if lat_lo == lat_hi else None
-        rng_draw = self._rng.randint
+        # randint(lat_lo, lat_hi)'s own steps, inline: the same bits from the
+        # same stream, without its call and argument checks per message
+        span = lat_hi - lat_lo + 1
+        bits = span.bit_length()
+        getrandbits = self._rng.getrandbits
         check = self.cfg.check_invariants
         trace = self._trace
         n = self.graph.n
@@ -307,7 +311,10 @@ class Simulator:
                 slots[(now + const_delay) % size].extend(out)
             else:
                 for event in out:
-                    slots[(now + rng_draw(lat_lo, lat_hi)) % size].append(event)
+                    draw = getrandbits(bits)
+                    while draw >= span:
+                        draw = getrandbits(bits)
+                    slots[(now + lat_lo + draw) % size].append(event)
             if check:
                 protocol.check_node_invariants(st, n)
         self._waves = waves

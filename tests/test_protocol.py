@@ -130,10 +130,33 @@ class TestFirstLabels:
             assert st.label == expected[v], v
             assert st.neighbor_labels == {w: expected[w] for w in g.cap[v]}, v
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_sink_and_build_order_start_from_public_hops(self, seed):
+        # init_instance, then every node built in a random order, with some
+        # labels asked for first: states built past the search's completed
+        # levels take their labels from their own channels
+        rng = random.Random(seed)
+        g = unreachable_tail_graph(seed)
+        r = rng.randrange(g.n)
+        hops = public_hops(g, r)
+        expected = {v: hops.get(v, g.n + 3) for v in range(g.n)}
+        s = rng.choice([v for v in range(g.n) if v != r])
+        states = init_instance(g, s, r, 5)
+        if s in hops:
+            # the search completes only the levels below s's
+            assert states._depth == hops[s] - 1
+        for v in rng.sample(range(g.n), g.n):
+            if rng.random() < 0.3:
+                assert states.label(v) == expected[v], v
+            st = states[v]
+            assert st.label == expected[v], v
+            assert {w: st.neighbor_labels[w] for w in g.cap[v]} == {w: expected[w] for w in g.cap[v]}, v
+
     @pytest.mark.parametrize("ring", [False, True])
     def test_search_stops_at_the_level_of_the_nodes_built(self, ring):
         # r = 0 on a path or ring of 100 nodes: building node 2 reads the
-        # channels of the levels below node 2's, and of node 2 itself
+        # channels of the levels two or more below node 2's, of node 2
+        # itself, and of its neighbor the search has not labeled
         g = ChannelGraph(100)
         for v in range(99 + ring):
             g.open_channel(v, (v + 1) % 100, 5, 5)
@@ -141,10 +164,11 @@ class TestFirstLabels:
         states = NodeStates(g, 0)
         st = states[2]
         assert (st.label, st.neighbor_labels) == (2, {1: 1, 3: 3})
-        assert g.cap.read == ({0, 1, 2, 99} if ring else {0, 1, 2})
-        # labeling node 50 expands every level below its own, and no further
+        assert g.cap.read == {0, 2, 3}
+        # labeling node 50 expands every level two or more below its own,
+        # and no further
         assert states.label(50) == 50
-        assert g.cap.read == {*range(50), *(range(51, 100) if ring else ())}
+        assert g.cap.read == {*range(49), 50, *(range(52, 100) if ring else ())}
 
 
 class TestOnActivate:

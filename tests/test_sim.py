@@ -493,6 +493,17 @@ class TestPinnedSchedule:
         assert (out.global_relabels, out.messages_sent, out.simulated_time) == (1, 1234, 5995)
         assert digest == "8e23d49aa65bd25ecf38602326322981929c2d56ef554fdd21d222e94b1271c9"
 
+    @pytest.mark.parametrize("latency, messages, ticks, digest", [
+        # a span of 8, a power of two: a draw takes 4 bits and redraws 8-15
+        ("uniform:1:8", 1229, 806, "1cd60e4a690f4e8a3f41287ebd94cb1dff86ee070fe36028f6a8977188ed9ca3"),
+        # a span of 2: a draw takes 2 bits and redraws 2 and 3
+        ("uniform:1:2", 1232, 266, "75d0dd4122fd481b61e1863cd0f098d81da5a3ca39c6fcf181df01bdda9c5123"),
+    ])
+    def test_drain_payment_under_narrow_jitter(self, drain_graph, latency, messages, ticks, digest):
+        out, got = trace_digest(drain_graph, 53, 93, 143, latency, 0)
+        assert (out.global_relabels, out.messages_sent, out.simulated_time) == (1, messages, ticks)
+        assert got == digest
+
     def test_payment_that_rolls_back_an_in_flight_push(self, monkeypatch):
         # 160 units from 2 to 1 on four nodes, max-flow 147: two later epochs
         # and 106 messages.  Node 3 hears the epoch-3 wave from node 1 while
