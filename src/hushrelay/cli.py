@@ -59,7 +59,7 @@ def _latency(args) -> LatencyModel:
         raise UsageError(str(exc)) from None
 
 
-def _parse_seed_range(spec: str) -> list[int]:
+def _parse_seed_range(spec: str) -> range | list[int]:
     if ".." in spec:
         lo_txt, hi_txt = spec.split("..", 1)
         try:
@@ -68,7 +68,7 @@ def _parse_seed_range(spec: str) -> list[int]:
             raise UsageError(f"bad seed range {spec!r}") from None
         if hi < lo:
             raise UsageError(f"empty seed range {spec!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)  # lazy: a huge sweep must not allocate its seeds
     try:
         return [int(spec)]
     except ValueError:
@@ -160,7 +160,8 @@ _SWEEP_COLUMNS = [
 
 def cmd_bench(args) -> int:
     seeds = _parse_seed_range(args.seeds) if args.seeds else [_seed(args)]
-    if len(seeds) > 1 and args.format == "json":
+    # more than one seed; len() overflows on a range of 2**63 seeds or more
+    if seeds[1:] and args.format == "json":
         raise UsageError("a seed sweep writes CSV only; drop --format json")
     latency = _latency(args)
     reports: list[tuple[int, ExperimentReport]] = []

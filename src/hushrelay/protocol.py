@@ -162,10 +162,6 @@ class NodeState:
     # cannot reach r
     n: int = 0
 
-    @property
-    def active(self) -> bool:
-        return self.excess > 0 and not self.passive
-
 
 @dataclass(slots=True)
 class RoutingOutcome:
@@ -176,10 +172,10 @@ class RoutingOutcome:
     relabels: int
     simulated_time: int
     # epochs started after the first, each by a fresh SinkDistance wave
-    global_relabels: int = 0
+    global_relabels: int
     # real nodes other than s and r that received any message: the states built
     # beyond the four endpoints, plus the nodes that only heard a LabelUpdate
-    informed_relays: int = 0
+    informed_relays: int
 
 
 class NodeStates(dict):
@@ -575,9 +571,9 @@ def extract_outcome(
     messages_sent: int,
     relabels: int,
     simulated_time: int,
-    global_relabels: int = 0,
+    global_relabels: int,
 ) -> RoutingOutcome:
-    """Assemble the routing outcome from quiescent node states on n real nodes.
+    """Assemble the routing outcome from a finished run's node states on n real nodes.
 
     Asserts the termination contract: zero excess everywhere except the
     virtual endpoints, and mirrored per-edge ledgers.  It reads only the

@@ -11,7 +11,9 @@ sink's master key and the filler set out of band, can peel the layers: each
 decrypted fact carries the key for the next one.
 
 Wire layout per unit: [1-byte layer tag][16-byte nonce][256-byte ciphertext]
-(ciphertext = 240-byte plaintext + 16-byte auth tag).  A packet is depth
+(ciphertext = 240-byte plaintext + 16-byte auth tag).  The layout fixes the
+sealing scheme: every fact is sealed with AES-256-GCM under a 256-bit key,
+and no other scheme can be chosen.  A packet is depth
 units long, where depth is the longest flow path; equal-depth instances are
 therefore byte-length-identical at every relay position.
 """
@@ -52,38 +54,10 @@ _FACT = struct.Struct(">QQ32s")
 _FACT_LIMIT = 1 << 64
 
 
-class AeadCipher:
-    """AES-256-GCM; the default sealing scheme."""
-
-    name = "aes256gcm"
-
-    def encrypt(self, key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
-        return AESGCM(key).encrypt(nonce, plaintext, None)
-
-    def decrypt(self, key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
-        try:
-            return AESGCM(key).decrypt(nonce, ciphertext, None)
-        except InvalidTag as exc:
-            raise AuthFailure("layer failed authentication") from exc
-
-
-DEFAULT_CIPHER = AeadCipher()
-
-
 def _rand_bytes(rng: Random | None, n: int) -> bytes:
     if rng is None:
         return secrets.token_bytes(n)
     return rng.randbytes(n)
-
-
-def _encode_fact(pred: NodeId, amount: Funds, key: bytes) -> bytes:
-    body = _FACT.pack(pred, amount, key)
-    return body + b"\x00" * (_PLAINTEXT_LEN - len(body))
-
-
-def _decode_fact(plaintext: bytes) -> tuple[NodeId, Funds, bytes]:
-    pred, amount, key = _FACT.unpack_from(plaintext)
-    return pred, amount, key
 
 
 @dataclass(frozen=True)
@@ -101,11 +75,23 @@ class ReportPacket:
         return len(self.data)
 
 
-def _seal_unit(cipher, key: bytes, fact: bytes, rng: Random | None) -> bytes:
+def _seal_unit(key: bytes, fact: tuple[NodeId, Funds, bytes], rng: Random | None) -> bytes:
+    """One unit sealing the fact (predecessor, edge flow, edge key) under key."""
     nonce = _rand_bytes(rng, NONCE_LEN)
-    ct = cipher.encrypt(key, nonce, fact)
-    assert len(ct) == BLOCK_LEN
-    return bytes([TAG_LAYER]) + nonce + ct
+    plaintext = _FACT.pack(*fact).ljust(_PLAINTEXT_LEN, b"\x00")
+    return bytes([TAG_LAYER]) + nonce + AESGCM(key).encrypt(nonce, plaintext, None)
+
+
+def open_unit(key: bytes, unit: bytes) -> tuple[NodeId, Funds, bytes]:
+    """The fact (predecessor, edge flow, edge key) that key sealed in unit.
+
+    Raises AuthFailure for any other key, and for a filler unit.
+    """
+    try:
+        plaintext = AESGCM(key).decrypt(unit[1 : 1 + NONCE_LEN], unit[1 + NONCE_LEN :], None)
+    except InvalidTag as exc:
+        raise AuthFailure("layer failed authentication") from exc
+    return _FACT.unpack_from(plaintext)
 
 
 def _filler_unit(rng: Random | None) -> bytes:
@@ -117,7 +103,6 @@ def build_report(
     k_sink: bytes,
     depth: int,
     rng: Random | None = None,
-    cipher=DEFAULT_CIPHER,
 ) -> tuple[dict[NodeId, ReportPacket], list[bytes]]:
     """Sink-side packets, one per flow-carrying predecessor edge.
 
@@ -127,33 +112,27 @@ def build_report(
     """
     packets: dict[NodeId, ReportPacket] = {}
     fillers: list[bytes] = []
-    for pred, amount, edge_key in inbound:
-        unit = _seal_unit(cipher, k_sink, _encode_fact(pred, amount, edge_key), rng)
+    for fact in inbound:
+        unit = _seal_unit(k_sink, fact, rng)
         pad = [_filler_unit(rng) for _ in range(depth - 1)]
         fillers.extend(pad)
-        packets[pred] = ReportPacket(unit + b"".join(pad))
+        packets[fact[0]] = ReportPacket(unit + b"".join(pad))
     return packets, fillers
 
 
 def relay_report(
     inbound_packet: ReportPacket,
     encrypt_key: bytes,
-    facts: list[tuple[NodeId, Funds, bytes]],
+    fact: tuple[NodeId, Funds, bytes],
     rng: Random | None = None,
-    cipher=DEFAULT_CIPHER,
-) -> dict[NodeId, ReportPacket]:
-    """Relay-side packets: one per predecessor fact, wrapped over the inbound.
+) -> ReportPacket:
+    """Relay-side packet: one predecessor fact sealed over the inbound packet.
 
     encrypt_key is the edge key shared with the node the packet arrived
     from; prepending one unit and dropping one trailing filler keeps the
     length schedule fixed.
     """
-    body = inbound_packet.data[: -UNIT_LEN]
-    out: dict[NodeId, ReportPacket] = {}
-    for pred, amount, edge_key in facts:
-        unit = _seal_unit(cipher, encrypt_key, _encode_fact(pred, amount, edge_key), rng)
-        out[pred] = ReportPacket(unit + body)
-    return out
+    return ReportPacket(_seal_unit(encrypt_key, fact, rng) + inbound_packet.data[:-UNIT_LEN])
 
 
 @dataclass
@@ -210,7 +189,6 @@ def _sink_first(flow: FlowAssignment) -> tuple[list[NodeId], dict[NodeId, list[N
 def run_report(
     flow: FlowAssignment,
     rng: Random | None = None,
-    cipher=DEFAULT_CIPHER,
 ) -> ReportRun:
     """Propagate a terminated routing's acyclic flow from sink back to source.
 
@@ -244,7 +222,7 @@ def run_report(
     # they traveled over and their hop position
     inbox: dict[NodeId, list[tuple[ReportPacket, bytes, int]]] = {v: [] for v in order}
     sink_facts = [(u, out[u][sink], edge_keys[(u, sink)]) for u in preds[sink]]
-    packets, fillers = build_report(sink_facts, k_sink, depth, rng, cipher)
+    packets, fillers = build_report(sink_facts, k_sink, depth, rng)
     run.filler_set.extend(fillers)
     for pred, pkt in packets.items():
         run.position_lengths.append((0, len(pkt)))
@@ -263,7 +241,7 @@ def run_report(
             pkt, key, position = items[min(i, len(items) - 1)]
             fact = facts[min(i, len(facts) - 1)]
             pred = fact[0]
-            relayed = relay_report(pkt, key, [fact], rng, cipher)[pred]
+            relayed = relay_report(pkt, key, fact, rng)
             run.position_lengths.append((position, len(relayed)))
             inbox[pred].append((relayed, edge_keys[(pred, v)], position + 1))
 
@@ -277,7 +255,6 @@ def reconstruct(
     packets: list[ReportPacket],
     k_sink: bytes,
     filler_set: list[bytes],
-    cipher=DEFAULT_CIPHER,
 ) -> ReconstructedFlow:
     """Peel every packet layer by layer and rebuild the flow and its paths.
 
@@ -300,9 +277,7 @@ def reconstruct(
         key = k_sink
         node = sink
         for unit in reversed(units):
-            nonce = unit[1 : 1 + NONCE_LEN]
-            plaintext = cipher.decrypt(key, nonce, unit[1 + NONCE_LEN :])
-            pred, amount, next_key = _decode_fact(plaintext)
+            pred, amount, next_key = open_unit(key, unit)
             edge = (pred, node)
             if amount <= 0:
                 raise InconsistentFlow(f"non-positive flow {amount} reported on {edge}")

@@ -337,15 +337,6 @@ class Simulator:
             f"d_to={st.label if st is not None else self.states.label(to)}\n"
         )
 
-    def quiescent(self) -> bool:
-        """True iff nothing is queued, no push is unsettled and no real node is active.
-
-        Walks only the states built so far: a node never reached holds nothing.
-        """
-        if any(self._slots):
-            return False
-        return not any(st.pending or st.active for st in self.states.values())
-
     def outcome(self) -> RoutingOutcome:
         return protocol.extract_outcome(
             self.states,
@@ -368,5 +359,5 @@ class Simulator:
             raise protocol.ProtocolError(
                 f"{self.messages_sent} messages sent but {self.messages_delivered} delivered"
             )
-        # outcome() rejects every state that quiescent() would
+        # outcome() rejects an unsettled push and excess at any real node
         return self.outcome()

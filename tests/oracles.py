@@ -1,10 +1,12 @@
-"""Test-only oracles: a second max-flow route, scipy's max-flow, the min-cut certificate check, a flow check, hop distances, netted flow updates and balance shifts."""
+"""Test-only oracles: a second max-flow route, scipy's max-flow, the min-cut certificate check, a flow check, hop distances, netted flow updates, balance shifts and quiescence."""
 
 from __future__ import annotations
 
 from collections import deque
 
 from hushrelay.graph import ChannelGraph, FlowAssignment, Funds, NodeId
+from hushrelay.protocol import NodeState
+from hushrelay.sim import Simulator
 
 
 class CapacityViolation(Exception):
@@ -169,6 +171,21 @@ def validate_flow(flow: FlowAssignment, g: ChannelGraph) -> None:
     bad = {v: a for v, a in sorted(net.items()) if a and v not in (flow.source, flow.sink)}
     if bad:
         raise CapacityViolation(f"conservation broken: net inflow {bad}")
+
+
+def active(st: NodeState) -> bool:
+    """A node holding excess that it will push on; a virtual endpoint never is."""
+    return st.excess > 0 and not st.passive
+
+
+def quiescent(sim: Simulator) -> bool:
+    """True iff nothing is queued, no push is unsettled and no real node is active.
+
+    Walks only the states built so far: a node never reached holds nothing.
+    """
+    if any(sim._slots):  # the event ring: deliveries and activations still due
+        return False
+    return not any(st.pending or active(st) for st in sim.states.values())
 
 
 def public_hops(g: ChannelGraph, r: NodeId) -> dict[NodeId, int]:

@@ -167,6 +167,16 @@ class TestBench:
         assert "usage error" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("top", [10**18, 10**20])
+    def test_huge_json_seed_sweep_is_usage_error(self, top, capsys):
+        # refused without building the sweep's list of seeds
+        assert main([
+            "bench", "--nodes", "10", "--seeds", f"0..{top}", "--format", "json",
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "usage error" in err
+
     def test_nodes_above_loader_bound_rejected(self, tmp_path, capsys):
         path = tmp_path / "out.csv"
         assert main([

@@ -29,7 +29,7 @@ from hushrelay.sim import SimConfig, Simulator
 from hushrelay.topology import BAConfig, generate_ba
 
 from .conftest import A, B, C, R, S, five_node_graph, zero_labeled
-from .oracles import public_hops
+from .oracles import active, public_hops
 
 SP, RP = 5, 6  # virtual endpoints for the five-node example
 
@@ -252,7 +252,7 @@ class TestOnPushRequest:
         [(_, reply)] = on_push_request(st, PushRequest(R, 9, 10, 1))
         assert type(reply) is Accept
         assert st.excess == 10
-        assert not st.active  # passive role: gains excess but never activates
+        assert not active(st)  # passive role: gains excess but never activates
 
     def test_unknown_sender_rejected(self, example_graph):
         states = zero_labeled(example_graph, S, R, 15)

@@ -5,12 +5,12 @@ import pytest
 from hushrelay.graph import FlowAssignment
 from hushrelay.report import (
     UNIT_LEN,
-    AeadCipher,
     AuthFailure,
     FactOverflow,
     InconsistentFlow,
     ReportPacket,
     build_report,
+    open_unit,
     reconstruct,
     relay_report,
     run_report,
@@ -49,14 +49,14 @@ class TestBuildReport:
         [((0, 1), 2**64), ((2**64, 1), 5), ((0, 2**64), 5)],
     )
     def test_values_beyond_u64_rejected_before_sealing(self, edge, amount):
-        class NoSealing:
-            def encrypt(self, key, nonce, plaintext):
-                raise AssertionError("sealed a fact that does not fit")
-
         f = FlowAssignment(*edge)
         add_flow(f, *edge, amount)
+        rng = Random(1)
+        state = rng.getstate()
         with pytest.raises(FactOverflow):
-            run_report(f, rng=Random(1), cipher=NoSealing())
+            run_report(f, rng=rng)
+        # sealing draws k_sink first, so an untouched rng means nothing was sealed
+        assert rng.getstate() == state
 
     def test_circulation_rejected(self):
         f = FlowAssignment(0, 3)
@@ -86,11 +86,15 @@ class TestRelayReport:
         packets, _ = build_report(
             [(C, 15, rr.edge_keys[(C, R)])], rr.k_sink, depth=3, rng=Random(4)
         )
-        facts = [(A, 10, b"\x02" * 32), (B, 5, b"\x03" * 32)]
-        relayed = relay_report(packets[C], rr.edge_keys[(C, R)], facts, rng=Random(5))
-        assert set(relayed) == {A, B}
-        # constant length: one unit added, one filler dropped
-        assert all(len(p) == len(packets[C]) for p in relayed.values())
+        key = rr.edge_keys[(C, R)]
+        rng = Random(5)
+        for fact in [(A, 10, b"\x02" * 32), (B, 5, b"\x03" * 32)]:
+            relayed = relay_report(packets[C], key, fact, rng)
+            # constant length: one unit added, one filler dropped
+            assert len(relayed) == len(packets[C])
+            units = relayed.units()
+            assert open_unit(key, units[0]) == fact
+            assert units[1:] == packets[C].units()[:-1]
 
     def test_tampered_ciphertext_fails_at_source(self, example_graph):
         out = worked_outcome(example_graph)
@@ -146,12 +150,12 @@ class TestReconstruct:
         rr = run_report(out.flow, rng=Random(13))
         keys = rr.edge_keys
         sealed, _ = build_report([(C, 15, keys[(C, R)])], rr.k_sink, depth=3, rng=Random(14))
-        at_c = relay_report(
-            sealed[C], keys[(C, R)], [(A, 10, keys[(A, C)]), (B, 5, keys[(B, C)])], rng=Random(15)
-        )
+        rng = Random(15)
+        at_a = relay_report(sealed[C], keys[(C, R)], (A, 10, keys[(A, C)]), rng)
+        at_b = relay_report(sealed[C], keys[(C, R)], (B, 5, keys[(B, C)]), rng)
         forged = [
-            relay_report(at_c[B], keys[(B, C)], [(A, 3, b"\x04" * 32)], rng=Random(16))[A],
-            relay_report(at_c[A], keys[(A, C)], [(B, 3, b"\x05" * 32)], rng=Random(17))[B],
+            relay_report(at_b, keys[(B, C)], (A, 3, b"\x04" * 32), rng=Random(16)),
+            relay_report(at_a, keys[(A, C)], (B, 3, b"\x05" * 32), rng=Random(17)),
         ]
         with pytest.raises(InconsistentFlow, match="not acyclic"):
             reconstruct(S, R, rr.source_packets + forged, rr.k_sink, rr.filler_set)
@@ -164,11 +168,13 @@ class TestReconstruct:
         rr = run_report(out.flow, rng=Random(18))
         keys = rr.edge_keys
         sealed, _ = build_report([(C, 15, keys[(C, R)])], rr.k_sink, depth=2, rng=Random(19))
-        forged = relay_report(
-            sealed[C], keys[(C, R)], [(A, 10, keys[(A, C)]), (B, 7, keys[(B, C)])], rng=Random(20)
-        )
+        rng = Random(20)
+        forged = [
+            relay_report(sealed[C], keys[(C, R)], fact, rng)
+            for fact in [(A, 10, keys[(A, C)]), (B, 7, keys[(B, C)])]
+        ]
         with pytest.raises(InconsistentFlow):
-            reconstruct(S, R, list(forged.values()), rr.k_sink, rr.filler_set)
+            reconstruct(S, R, forged, rr.k_sink, rr.filler_set)
 
     @pytest.mark.parametrize(
         "paths",
@@ -196,7 +202,7 @@ class TestReconstruct:
             filler_set.extend(fillers)
             pkt = sealed[u]
             for (u, v), (w, _) in zip(reversed(edges), reversed(edges[:-1])):
-                pkt = relay_report(pkt, keys[(u, v)], [(w, 1, keys[(w, u)])], rng=rng)[w]
+                pkt = relay_report(pkt, keys[(u, v)], (w, 1, keys[(w, u)]), rng=rng)
             packets.append(pkt)
         with pytest.raises(InconsistentFlow, match="not acyclic"):
             reconstruct(0, 3, packets, k_sink, filler_set)
@@ -264,7 +270,6 @@ class TestConfidentiality:
         # of every packet it receives must fail authentication under them
         out = worked_outcome(example_graph)
         rr, relay_inbound = run_report_observed(out.flow, Random(17))
-        cipher = AeadCipher()
         assert relay_inbound  # the worked example has relays A, B, C
         attempts = 0
         for relay, packets in relay_inbound.items():
@@ -272,9 +277,8 @@ class TestConfidentiality:
             assert keys
             for pkt in packets:
                 for unit in pkt.units():
-                    nonce, ct = unit[1:17], unit[17:]
                     for key in keys:
                         attempts += 1
                         with pytest.raises(AuthFailure):
-                            cipher.decrypt(key, nonce, ct)
+                            open_unit(key, unit)
         assert attempts > 0
