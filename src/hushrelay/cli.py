@@ -15,7 +15,7 @@ import sys
 from random import Random
 
 from . import __version__
-from .bench import ExperimentReport, run_bench
+from .bench import run_bench
 from .decompose import decompose
 from .graph import PcnError
 from .netfile import ParseError, load_network, load_workload, save_network
@@ -161,10 +161,12 @@ _SWEEP_COLUMNS = [
 def cmd_bench(args) -> int:
     seeds = _parse_seed_range(args.seeds) if args.seeds else [_seed(args)]
     # more than one seed; len() overflows on a range of 2**63 seeds or more
-    if seeds[1:] and args.format == "json":
+    sweep = bool(seeds[1:])
+    if sweep and args.format == "json":
         raise UsageError("a seed sweep writes CSV only; drop --format json")
     latency = _latency(args)
-    reports: list[tuple[int, ExperimentReport]] = []
+    # a sweep keeps one aggregate row per seed, not the seed's whole report
+    rows: list[list] = []
     for seed in seeds:
         g = _bench_graph(args, seed)
         txns = _bench_workload(args, g, seed)
@@ -176,38 +178,34 @@ def cmd_bench(args) -> int:
             with_wallclock=args.wallclock,
             check_invariants=args.check,
         )
-        reports.append((seed, report))
+        agg = report.aggregate
+        rows.append(
+            [
+                seed,
+                agg["txn_count"],
+                agg["errors"],
+                agg["successes"],
+                f"{agg['success_ratio']:.6f}",
+                f"{agg['feasible_ratio']:.6f}",
+                f"{agg.get('mean_simulated_ttr', 0):.3f}",
+                f"{agg.get('mean_messages', 0):.3f}",
+            ]
+        )
         print(f"seed {seed}:")
         for line in report.summary_lines():
             print(f"  {line}")
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            if len(reports) == 1:
-                seed, report = reports[0]
-                if args.format == "json":
-                    fh.write(report.to_json())
-                    fh.write("\n")
-                else:
-                    report.write_csv(fh)
-            else:
-                # sweep: one aggregate row per seed
+            if sweep:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(_SWEEP_COLUMNS)
-                for seed, report in reports:
-                    agg = report.aggregate
-                    writer.writerow(
-                        [
-                            seed,
-                            agg["txn_count"],
-                            agg["errors"],
-                            agg["successes"],
-                            f"{agg['success_ratio']:.6f}",
-                            f"{agg['feasible_ratio']:.6f}",
-                            f"{agg.get('mean_simulated_ttr', 0):.3f}",
-                            f"{agg.get('mean_messages', 0):.3f}",
-                        ]
-                    )
+                writer.writerows(rows)
+            elif args.format == "json":
+                fh.write(report.to_json())
+                fh.write("\n")
+            else:
+                report.write_csv(fh)
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -1,7 +1,7 @@
 """Splitting an edge flow into path-level payments.
 
 Cycles carry no payment.  `cancel_cycles` removes them once, when
-`protocol.extract_outcome` assembles a routing outcome; every later stage
+`sim.Simulator.outcome()` assembles a routing outcome; every later stage
 takes that acyclic flow as given.  `decompose` extracts source->sink paths
 widest-first: each round takes the maximum-bottleneck path, breaking ties
 toward the lexicographically smallest node sequence, and subtracts its

@@ -51,8 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .decompose import cancel_cycles
-from .graph import ChannelGraph, FlowAssignment, Funds, NodeId
+from .graph import ChannelGraph, Funds, NodeId
 
 
 class ProtocolError(Exception):
@@ -163,28 +162,13 @@ class NodeState:
     n: int = 0
 
 
-@dataclass(slots=True)
-class RoutingOutcome:
-    delivered: Funds
-    returned: Funds
-    flow: FlowAssignment
-    messages_sent: int
-    relabels: int
-    simulated_time: int
-    # epochs started after the first, each by a fresh SinkDistance wave
-    global_relabels: int
-    # real nodes other than s and r that received any message: the states built
-    # beyond the four endpoints, plus the nodes that only heard a LabelUpdate
-    informed_relays: int
-
-
 class NodeStates(dict):
     """Node states by id; a real node's is built from the graph the first time it is looked up.
 
     Iteration and `len` see only the states built so far.  In a run, only
     the dispatch indexes: it builds the endpoints and the nodes reached by a
     message other than a LabelUpdate, which only goes into `heard` (merged
-    by a later build).  `RoutingOutcome.informed_relays` counts both.  Indexing
+    by a later build).  `sim.RoutingOutcome.informed_relays` counts both.  Indexing
     a node never reached raises that count; `get`, `in` and `label` build nothing.
     The first-label search from r completes one level fewer than the deepest
     node looked up: a label past its complete levels comes from the node's
@@ -198,9 +182,6 @@ class NodeStates(dict):
         self._labels = [g.n + 3] * g.n
         self._labels[r] = 0
         self._frontier, self._depth = [r], 0
-        # channel rows the checks of nodes past _depth have read since the
-        # search completed _depth; expanding the next level reads len(_frontier)
-        self._checked = 0
         self.heard: dict[NodeId, dict[NodeId, int]] = {}
 
     def _expand(self) -> None:
@@ -214,7 +195,7 @@ class NodeStates(dict):
                 if labels[u] == missed:
                     labels[u] = depth
                     reached.append(u)
-        self._frontier, self._checked = reached, 0
+        self._frontier = reached
 
     def label(self, v: NodeId) -> int:
         """Real node v's first label: its hop distance to r over the public channels.
@@ -253,11 +234,7 @@ class NodeStates(dict):
         A neighbor the search has not labeled is one level above v, except
         when v is itself one level past the search's complete levels: then a
         neighbor with a channel into the last complete level is at v's level.
-        Checking that reads one channel row per such neighbor.  Once the
-        checks since the last level was completed have read as many rows as
-        completing the next one would (one per node at _depth), the search
-        completes it instead: where most nodes get built, the checks at each
-        depth read about as many rows as that level's expansion, not more.
+        Checking that reads one channel row per such neighbor.
         """
         labels = self._labels
         if not 0 <= v < len(labels):
@@ -265,8 +242,6 @@ class NodeStates(dict):
         label = labels[v]
         if label > self._depth:
             label = self.label(v)
-            if label == self._depth + 1 and self._checked >= len(self._frontier):
-                self._expand()
         cap = self._cap[v]
         nbrs = sorted(cap)
         depth = self._depth
@@ -274,19 +249,16 @@ class NodeStates(dict):
             # v is one level past the search: a neighbor not labeled is at
             # v's level if it has a channel into level depth, else one above
             caps = self._cap
-            checked = self._checked
             cache = {}
             for w in nbrs:
                 lw = labels[w]
                 if lw > depth:
                     lw = label + 1
-                    checked += 1
                     for u in caps[w]:
                         if labels[u] == depth:
                             lw = label
                             break
                 cache[w] = lw
-            self._checked = checked
         else:
             far = label + 1  # the level of a neighbor the search has not labeled yet
             cache = {w: labels[w] if labels[w] < far else far for w in nbrs}
@@ -560,65 +532,3 @@ def check_node_invariants(v: NodeState, n: int) -> None:
         if f > v.cap[w]:
             raise ProtocolError(f"flow f({v.id},{w})={f} exceeds capacity {v.cap[w]}")
 
-
-def extract_outcome(
-    states: NodeStates,
-    n: int,
-    s: NodeId,
-    r: NodeId,
-    val: Funds,
-    *,
-    messages_sent: int,
-    relabels: int,
-    simulated_time: int,
-    global_relabels: int,
-) -> RoutingOutcome:
-    """Assemble the routing outcome from a finished run's node states on n real nodes.
-
-    Asserts the termination contract: zero excess everywhere except the
-    virtual endpoints, and mirrored per-edge ledgers.  It reads only the
-    states built so far and builds none: a node never looked up holds no
-    flow.  The reported flow is the netted ledger with circulation removed:
-    excess bouncing between nodes can leave zero-payment cycles in the raw
-    ledgers, and the canonical routing result is the acyclic flow those
-    ledgers imply.  This is the pipeline's one cycle-cancel pass:
-    decomposition and the flow report take the acyclic flow as given and
-    reject circulation.
-    """
-    sp, rp = n, n + 1
-    for v, st in states.items():
-        if st.pending:
-            raise NotTerminated(f"node {v} still has in-flight pushes")
-        if v not in (sp, rp) and st.excess != 0:
-            raise ProtocolError(f"terminal excess {st.excess} at node {v}")
-    delivered = states[rp].excess
-    returned = states[sp].excess
-    if delivered + returned != val:
-        raise ProtocolError(
-            f"delivered {delivered} + returned {returned} != routed value {val}"
-        )
-    flow = FlowAssignment(s, r)
-    # a zero entry is checked from its mirror, unless both are zero
-    for v in sorted(v for v in states if v < n):
-        for w, f_vw in states[v].edge_flow.items():
-            if f_vw == 0 or w >= n:
-                continue
-            mirror = states.get(w)
-            mirrored = mirror.edge_flow[v] if mirror is not None else 0
-            if f_vw != -mirrored:
-                raise ProtocolError(
-                    f"ledger mismatch on channel {(min(v, w), max(v, w))}: {f_vw} vs {-mirrored}"
-                )
-            if f_vw > 0:
-                flow.out.setdefault(v, {})[w] = f_vw
-    return RoutingOutcome(
-        delivered=delivered,
-        returned=returned,
-        flow=cancel_cycles(flow),
-        messages_sent=messages_sent,
-        relabels=relabels,
-        simulated_time=simulated_time,
-        global_relabels=global_relabels,
-        # every built state but s, r and the virtual endpoints received a message
-        informed_relays=len(states) - 4 + len(states.heard),
-    )

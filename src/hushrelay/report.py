@@ -77,8 +77,11 @@ class ReportPacket:
 
 def _seal_unit(key: bytes, fact: tuple[NodeId, Funds, bytes], rng: Random | None) -> bytes:
     """One unit sealing the fact (predecessor, edge flow, edge key) under key."""
+    try:
+        plaintext = _FACT.pack(*fact).ljust(_PLAINTEXT_LEN, b"\x00")
+    except struct.error:
+        raise FactOverflow(f"fact {fact[:2]} does not fit 64-bit fields") from None
     nonce = _rand_bytes(rng, NONCE_LEN)
-    plaintext = _FACT.pack(*fact).ljust(_PLAINTEXT_LEN, b"\x00")
     return bytes([TAG_LAYER]) + nonce + AESGCM(key).encrypt(nonce, plaintext, None)
 
 
@@ -196,14 +199,14 @@ def run_report(
     inbound packet at a relay is forwarded onward and every predecessor
     edge is reported at least once, so the source ends up with every flow
     fact; chains sharing a suffix produce duplicates that the source
-    discards.  An amount or node id of 2**64 or more raises FactOverflow
+    discards.  An amount or node id outside 0..2**64-1 raises FactOverflow
     before anything is sealed; a flow node that does not drain into the
     sink along the flow (a cycle, for one) raises ValueError.
     """
     source, sink, out = flow.source, flow.sink, flow.out
     for u, targets in out.items():
         for v, a in targets.items():
-            if max(u, v, a) >= _FACT_LIMIT:
+            if min(u, v, a) < 0 or max(u, v, a) >= _FACT_LIMIT:
                 raise FactOverflow(f"flow {a} on edge ({u}, {v}) does not fit a 64-bit report fact")
     k_sink = _rand_bytes(rng, KEY_LEN)
     edge_keys = {(u, v): _rand_bytes(rng, KEY_LEN) for u in sorted(out) for v in sorted(out[u])}

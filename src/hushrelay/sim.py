@@ -32,7 +32,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import IO
 
-from .graph import ChannelGraph, Funds, NodeId
+from .decompose import cancel_cycles
+from .graph import ChannelGraph, FlowAssignment, Funds, NodeId
 from . import protocol
 from .protocol import (
     Accept,
@@ -42,7 +43,6 @@ from .protocol import (
     Nak,
     Outbound,
     PushRequest,
-    RoutingOutcome,
     SinkDistance,
 )
 
@@ -104,8 +104,22 @@ class SimConfig:
 
     seed: int = 0
     latency: LatencyModel = field(default_factory=lambda: LatencyModel.constant(1))
-    max_events: int | None = None  # default: 50 * (n+2)^2 * (m+2)
     check_invariants: bool = False
+
+
+@dataclass(slots=True)
+class RoutingOutcome:
+    delivered: Funds
+    returned: Funds
+    flow: FlowAssignment
+    messages_sent: int
+    relabels: int
+    simulated_time: int
+    # epochs started after the first, each by a fresh SinkDistance wave
+    global_relabels: int
+    # real nodes other than s and r that received any message: the states built
+    # beyond the four endpoints, plus the nodes that only heard a LabelUpdate
+    informed_relays: int
 
 
 _EVENT_NAMES = {
@@ -145,11 +159,8 @@ class Simulator:
         self._slots: list[deque[tuple[NodeId, Message | None]]] = [
             deque() for _ in range(self.cfg.latency.hi + 1)
         ]
-        self.max_events = (
-            self.cfg.max_events
-            if self.cfg.max_events is not None
-            else 50 * (g.n + 2) ** 2 * (g.channel_count + 2)
-        )
+        # the event budget: run() raises EventBudgetExhausted past it
+        self.max_events = 50 * (g.n + 2) ** 2 * (g.channel_count + 2)
         self.relabels = 0  # every relabel of the run, counted where it happens
         self._work = 0  # RELABEL_WORK + deg(v) per relabel of v; drives the epochs
         # epoch 1 runs on the topology labels, with no wave
@@ -204,8 +215,8 @@ class Simulator:
     def _dispatch(self, limit: int) -> int:
         """Deliver up to `limit` events; returns the number delivered.
 
-        The one and only dispatch loop; run() and step() both use it, and
-        once a run has started it is the only code that sends a message.
+        The one and only dispatch loop, which run() drives; once a run has
+        started it is the only code that sends a message.
         Local bindings matter here: this loop runs once per event, and a
         `drain` payment sends about 1.3k messages, the desk-scale workload's
         infeasible payments about 12k at the median.  Events run from the
@@ -325,10 +336,6 @@ class Simulator:
         self.messages_delivered += delivered
         return done
 
-    def step(self) -> bool:
-        """Deliver one event; False when the queue is empty."""
-        return self._dispatch(1) == 1
-
     def _trace_line(self, t: int, to: NodeId, msg: Message) -> None:
         st = self.states.get(to)  # tracing builds no state
         self._trace.write(
@@ -338,16 +345,57 @@ class Simulator:
         )
 
     def outcome(self) -> RoutingOutcome:
-        return protocol.extract_outcome(
-            self.states,
-            self.graph.n,
-            self.source,
-            self.sink,
-            self.value,
+        """Check the termination contract and assemble the routing outcome.
+
+        The contract: no push in flight, zero excess everywhere except the
+        virtual endpoints, delivered plus returned equal to the routed value,
+        and mirrored per-edge ledgers.  It reads only the states built so
+        far and builds none: a node never looked up holds no flow.  The
+        reported flow is the netted ledger with circulation removed: excess
+        bouncing between nodes can leave zero-payment cycles in the raw
+        ledgers, and the canonical routing result is the acyclic flow those
+        ledgers imply.  This is the pipeline's one cycle-cancel pass:
+        decomposition and the flow report take the acyclic flow as given and
+        reject circulation.
+        """
+        states, n = self.states, self.graph.n
+        sp, rp = self._sp, self._rp
+        for v, st in states.items():
+            if st.pending:
+                raise protocol.NotTerminated(f"node {v} still has in-flight pushes")
+            if v not in (sp, rp) and st.excess != 0:
+                raise protocol.ProtocolError(f"terminal excess {st.excess} at node {v}")
+        delivered = states[rp].excess
+        returned = states[sp].excess
+        if delivered + returned != self.value:
+            raise protocol.ProtocolError(
+                f"delivered {delivered} + returned {returned} != routed value {self.value}"
+            )
+        flow = FlowAssignment(self.source, self.sink)
+        # a zero entry is checked from its mirror, unless both are zero
+        for v in sorted(v for v in states if v < n):
+            for w, f_vw in states[v].edge_flow.items():
+                if f_vw == 0 or w >= n:
+                    continue
+                mirror = states.get(w)
+                mirrored = mirror.edge_flow[v] if mirror is not None else 0
+                if f_vw != -mirrored:
+                    raise protocol.ProtocolError(
+                        f"ledger mismatch on channel {(min(v, w), max(v, w))}: "
+                        f"{f_vw} vs {-mirrored}"
+                    )
+                if f_vw > 0:
+                    flow.out.setdefault(v, {})[w] = f_vw
+        return RoutingOutcome(
+            delivered=delivered,
+            returned=returned,
+            flow=cancel_cycles(flow),
             messages_sent=self.messages_sent,
             relabels=self.relabels,
             simulated_time=self.simulated_time,
             global_relabels=self.epoch - 1,
+            # every built state but s, r and the virtual endpoints received a message
+            informed_relays=len(states) - 4 + len(states.heard),
         )
 
     def run(self) -> RoutingOutcome:

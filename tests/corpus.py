@@ -40,7 +40,7 @@ from hushrelay.report import reconstruct, run_report
 from hushrelay.sim import LatencyModel, SimConfig, Simulator
 from hushrelay.topology import BAConfig, generate_ba
 
-from .oracles import scipy_max_flow
+from .oracles import scipy_max_flow, step
 
 LATENCIES = ("const:1", "const:3", "uniform:1:3", "uniform:1:10", "uniform:1:100")
 
@@ -92,7 +92,7 @@ def route(inst: Instance, stepped: bool):
     )
     buf = io.StringIO()
     sim = Simulator(inst.graph, inst.s, inst.r, inst.value, cfg, trace=buf)
-    while stepped and sim.step():
+    while stepped and step(sim):
         pass
     return sim.run(), buf.getvalue()
 

@@ -1,4 +1,4 @@
-"""Test-only oracles: a second max-flow route, scipy's max-flow, the min-cut certificate check, a flow check, hop distances, netted flow updates, balance shifts and quiescence."""
+"""Test-only oracles: a second max-flow route, scipy's max-flow, the min-cut certificate check, a flow check, hop distances, netted flow updates, balance shifts, single-event stepping and quiescence."""
 
 from __future__ import annotations
 
@@ -176,6 +176,11 @@ def validate_flow(flow: FlowAssignment, g: ChannelGraph) -> None:
 def active(st: NodeState) -> bool:
     """A node holding excess that it will push on; a virtual endpoint never is."""
     return st.excess > 0 and not st.passive
+
+
+def step(sim: Simulator) -> bool:
+    """Deliver one event of sim; False when its queue is empty."""
+    return sim._dispatch(1) == 1
 
 
 def quiescent(sim: Simulator) -> bool:

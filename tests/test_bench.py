@@ -1,4 +1,3 @@
-import functools
 import io
 import random
 
@@ -7,7 +6,7 @@ import pytest
 from hushrelay import bench
 from hushrelay.bench import CSV_COLUMNS, ExperimentReport, TxnResult, run_bench, run_txn, txn_seed
 from hushrelay.oracle import is_feasible
-from hushrelay.sim import LatencyModel, SimConfig
+from hushrelay.sim import LatencyModel
 from hushrelay.topology import BAConfig, Transaction, WorkloadConfig, generate_ba, generate_workload
 
 
@@ -50,7 +49,12 @@ class TestRunTxn:
         # the virtual sink's Accept at t=5.  A budget of 17 stops after 18:
         # the whole 15 has reached the virtual sink at t=4 after R's one
         # relabel, and that Accept is still in flight
-        monkeypatch.setattr(bench, "SimConfig", functools.partial(SimConfig, max_events=17))
+        class Budget17(bench.Simulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.max_events = 17
+
+        monkeypatch.setattr(bench, "Simulator", Budget17)
         row = run_txn(example_graph, 0, Transaction(0, 4, 15), 0, LatencyModel.constant(1))
         assert row.error == "event_budget_exhausted"
         assert not row.success

@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import pytest
 
+from hushrelay import cli
 from hushrelay.cli import main
 from hushrelay.graph import ChannelGraph
 from hushrelay.netfile import MAX_NODES, save_network
@@ -143,6 +147,28 @@ class TestBench:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("seed,")
         assert len(lines) == 6  # header + one aggregate row per seed
+
+    def test_seed_sweep_keeps_no_old_reports(self, tmp_path, monkeypatch):
+        # a sweep writes one row per seed, so a seed's full report must not
+        # outlive the next seed's routing
+        route = cli.run_bench
+        reports = []
+
+        def run_bench(*args, **kwargs):
+            if len(reports) >= 2:
+                gc.collect()
+                assert reports[-2]() is None, f"report of seed {len(reports) - 1} still held"
+            report = route(*args, **kwargs)
+            reports.append(weakref.ref(report))
+            return report
+
+        monkeypatch.setattr(cli, "run_bench", run_bench)
+        path = tmp_path / "sweep.csv"
+        assert main([
+            "bench", "--nodes", "15", "--txns", "5", "--seeds", "1..5",
+            "--out", str(path),
+        ]) == 0
+        assert len(reports) == 5
 
     def test_json_format(self, tmp_path):
         import json

@@ -29,7 +29,7 @@ from hushrelay.sim import SimConfig, Simulator
 from hushrelay.topology import BAConfig, generate_ba
 
 from .conftest import A, B, C, R, S, five_node_graph, zero_labeled
-from .oracles import active, public_hops
+from .oracles import active, public_hops, step
 
 SP, RP = 5, 6  # virtual endpoints for the five-node example
 
@@ -582,9 +582,23 @@ class TestExtractOutcome:
         with pytest.raises(ProtocolError, match=r"ledger mismatch on channel \(1, 3\)"):
             sim.outcome()
 
+    def test_terminal_excess_at_relay_rejected(self, example_graph):
+        sim = Simulator(example_graph, S, R, 15, SimConfig(seed=1))
+        sim.run()
+        sim.states[A].excess = 1
+        with pytest.raises(ProtocolError, match=rf"terminal excess 1 at node {A}"):
+            sim.outcome()
+
+    def test_value_not_accounted_for_rejected(self, example_graph):
+        sim = Simulator(example_graph, S, R, 15, SimConfig(seed=1))
+        sim.run()
+        sim.states[sim._rp].excess -= 1
+        with pytest.raises(ProtocolError, match=r"delivered 14 \+ returned 0 != routed value 15"):
+            sim.outcome()
+
     def test_not_terminated_rejected(self, example_graph):
         sim = Simulator(example_graph, S, R, 15, SimConfig(seed=1))
         while not any(st.pending for st in sim.states.values()):
-            assert sim.step()
+            assert step(sim)
         with pytest.raises(protocol.NotTerminated):
             sim.outcome()

@@ -22,6 +22,15 @@ from .conftest import A, B, C, R, S, run_report_observed
 from .oracles import add_flow
 
 
+KEY = b"k" * 32
+
+
+def negative_flow():
+    f = FlowAssignment(0, 1)
+    f.out[0] = {1: -5}
+    return f
+
+
 def worked_outcome(example_graph):
     return Simulator(example_graph, S, R, 15, SimConfig(seed=7)).run()
 
@@ -56,6 +65,26 @@ class TestBuildReport:
         with pytest.raises(FactOverflow):
             run_report(f, rng=rng)
         # sealing draws k_sink first, so an untouched rng means nothing was sealed
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize(
+        "seal",
+        [
+            lambda rng: build_report([(2**64, 1, KEY)], KEY, 2, rng),
+            lambda rng: build_report([(1, -1, KEY)], KEY, 2, rng),
+            lambda rng: relay_report(ReportPacket(bytes(UNIT_LEN)), KEY, (1, 2**64, KEY), rng),
+            lambda rng: relay_report(ReportPacket(bytes(UNIT_LEN)), KEY, (-1, 1, KEY), rng),
+            lambda rng: run_report(negative_flow(), rng),
+        ],
+        ids=["build-id", "build-negative", "relay-amount", "relay-negative", "run-negative"],
+    )
+    def test_fact_outside_u64_is_fact_overflow(self, seal):
+        # every public sealing entry point names the error; none leaks struct.error
+        rng = Random(1)
+        state = rng.getstate()
+        with pytest.raises(FactOverflow):
+            seal(rng)
+        # a unit draws its nonce after packing the fact, so nothing was sealed
         assert rng.getstate() == state
 
     def test_circulation_rejected(self):

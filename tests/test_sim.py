@@ -17,7 +17,7 @@ from hushrelay.sim import (
 from hushrelay.topology import BAConfig, generate_ba
 
 from .conftest import A, B, R, S
-from .oracles import public_hops, quiescent
+from .oracles import public_hops, quiescent, step
 
 
 class TestLatencyModel:
@@ -104,8 +104,10 @@ class TestRun:
         assert first[6].startswith("d_to=")
 
     def test_event_budget_exhaustion_carries_state(self, example_graph):
+        sim = Simulator(example_graph, S, R, 15, SimConfig(seed=0))
+        sim.max_events = 3
         with pytest.raises(EventBudgetExhausted) as exc:
-            Simulator(example_graph, S, R, 15, SimConfig(seed=0, max_events=3)).run()
+            sim.run()
         assert exc.value.sim.events_dispatched > 0
 
     def test_label_bound_checked_without_invariant_checks(self, example_graph):
@@ -130,7 +132,7 @@ class TestRun:
         # no wave to wait for: the first event is S's activation, which
         # pushes along its hop distances before any message is delivered
         sim = Simulator(example_graph, S, R, 15, SimConfig(seed=0))
-        assert sim.step()
+        assert step(sim)
         assert (sim.simulated_time, sim.messages_sent, sim.messages_delivered) == (0, 2, 0)
         assert sim.states[S].pending == {A: (0, 10), B: (1, 5)}
 
@@ -149,7 +151,7 @@ class TestQuiescent:
         sim = Simulator(example_graph, S, R, 15, SimConfig(seed=0))
         # step until the first push request has been applied at the sender
         while not any(st.pending for st in sim.states.values()):
-            assert sim.step()
+            assert step(sim)
         assert not quiescent(sim)
 
 
@@ -163,7 +165,7 @@ class TestDelivery:
         sim = Simulator(example_graph, S, R, 15, SimConfig(seed=3))
         sim.run()
         delivered = sim.messages_delivered
-        assert not sim.step()
+        assert not step(sim)
         assert sim.messages_delivered == delivered
 
 
@@ -259,7 +261,7 @@ class TestSinkDistanceWave:
         assert out.delivered == 0
         assert out.returned == 15
         stepped = Simulator(example_graph, R, S, 15, SimConfig(seed=0))
-        while stepped.step():
+        while step(stepped):
             pass
         assert quiescent(stepped)
         assert stepped.outcome() == out
@@ -308,7 +310,7 @@ class TestLazyStates:
         sim = Simulator(g, s, r, 5, SimConfig(seed=0), trace=buf)
         while y not in sim.states:
             before = sorted(sim.states), {v: dict(h) for v, h in sim.states.heard.items()}
-            assert sim.step()
+            assert step(sim)
         assert before == ([x, s, r, 5, 6], {y: {s: 6}})
         # built by the wave, y caches the highest label it heard
         assert sim.states[y].neighbor_labels == {s: 6, r: 0, z: 2}
@@ -457,7 +459,7 @@ def trace_digest(
     """run()'s outcome and the sha256 of its trace; with `stepped`, driven by step() first."""
     buf = io.StringIO()
     sim = Simulator(g, s, r, val, SimConfig(seed=seed, latency=LatencyModel.parse(latency)), buf)
-    while stepped and sim.step():
+    while stepped and step(sim):
         pass
     return sim.run(), hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
