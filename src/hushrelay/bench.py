@@ -184,15 +184,10 @@ def run_txn(
     txn: Transaction,
     master_seed: int,
     latency: LatencyModel,
-    check_invariants: bool = False,
 ) -> TxnResult:
     """Route one transaction on the pristine graph and score it."""
     feasible = is_feasible(g, txn.s, txn.r, txn.val)
-    cfg = SimConfig(
-        seed=txn_seed(master_seed, txn_id),
-        latency=latency,
-        check_invariants=check_invariants,
-    )
+    cfg = SimConfig(seed=txn_seed(master_seed, txn_id), latency=latency)
     started = time.perf_counter()
     sim = Simulator(g, txn.s, txn.r, txn.val, cfg)
     error = ""
@@ -226,11 +221,7 @@ def run_bench(
     master_seed: int = 0,
     latency: LatencyModel | None = None,
     with_wallclock: bool = False,
-    check_invariants: bool = False,
 ) -> ExperimentReport:
     latency = latency or LatencyModel.constant(1)
-    rows = [
-        run_txn(g, i, t, master_seed, latency, check_invariants)
-        for i, t in enumerate(txns)
-    ]
+    rows = [run_txn(g, i, t, master_seed, latency) for i, t in enumerate(txns)]
     return ExperimentReport(rows, with_wallclock=with_wallclock)

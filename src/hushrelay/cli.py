@@ -59,20 +59,17 @@ def _latency(args) -> LatencyModel:
         raise UsageError(str(exc)) from None
 
 
-def _parse_seed_range(spec: str) -> range | list[int]:
-    if ".." in spec:
-        lo_txt, hi_txt = spec.split("..", 1)
-        try:
-            lo, hi = int(lo_txt), int(hi_txt)
-        except ValueError:
-            raise UsageError(f"bad seed range {spec!r}") from None
-        if hi < lo:
-            raise UsageError(f"empty seed range {spec!r}")
-        return range(lo, hi + 1)  # lazy: a huge sweep must not allocate its seeds
+def _parse_seed_range(spec: str) -> range:
+    """'<lo>..<hi>', both ends included, or one seed."""
+    lo_txt, dots, hi_txt = spec.partition("..")
     try:
-        return [int(spec)]
+        lo = int(lo_txt)
+        hi = int(hi_txt) if dots else lo
     except ValueError:
-        raise UsageError(f"bad seed {spec!r}") from None
+        raise UsageError(f"bad seed or seed range {spec!r}") from None
+    if hi < lo:
+        raise UsageError(f"empty seed range {spec!r}")
+    return range(lo, hi + 1)  # lazy: a huge sweep must not allocate its seeds
 
 
 def _ba_config(args, seed: int) -> BAConfig:
@@ -94,7 +91,7 @@ def cmd_gen(args) -> int:
 def cmd_route(args) -> int:
     g = load_network(args.network)
     seed = _seed(args)
-    cfg = SimConfig(seed=seed, latency=_latency(args), check_invariants=args.check)
+    cfg = SimConfig(seed=seed, latency=_latency(args))
     trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
     try:
         sim = Simulator(g, args.source, args.sink, args.amount, cfg, trace=trace_fh)
@@ -159,7 +156,11 @@ _SWEEP_COLUMNS = [
 
 
 def cmd_bench(args) -> int:
-    seeds = _parse_seed_range(args.seeds) if args.seeds else [_seed(args)]
+    if args.seeds:
+        seeds = _parse_seed_range(args.seeds)
+    else:
+        seed = _seed(args)
+        seeds = range(seed, seed + 1)
     # more than one seed; len() overflows on a range of 2**63 seeds or more
     sweep = bool(seeds[1:])
     if sweep and args.format == "json":
@@ -176,7 +177,6 @@ def cmd_bench(args) -> int:
             master_seed=seed,
             latency=latency,
             with_wallclock=args.wallclock,
-            check_invariants=args.check,
         )
         agg = report.aggregate
         rows.append(
@@ -235,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--seed", type=int, default=None)
     route.add_argument("--latency", default="const:1", help="const:<d> or uniform:<lo>:<hi>")
     route.add_argument("--trace", default=None, help="write a delivery trace to this file")
-    route.add_argument("--check", action="store_true", help="enable invariant checking")
     route.add_argument(
         "--report-demo",
         action="store_true",
@@ -258,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--latency", default="const:1")
     bench.add_argument("--out", default=None)
     bench.add_argument("--format", choices=["csv", "json"], default="csv")
-    bench.add_argument("--check", action="store_true", help="enable invariant checking")
     bench.add_argument(
         "--wallclock",
         action="store_true",

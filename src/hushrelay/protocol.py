@@ -150,11 +150,11 @@ class NodeState:
     reached: int = 0
     # last epoch whose CutOff wave lifted this node
     cut_off: int = 0
-    # neighbors whose wave of epoch heard_epoch arrived while this node was
+    # neighbors whose wave of epoch refuse_epoch arrived while this node was
     # not reached in that epoch (it refuses their pushes); emptied when it
     # is reached
-    heard: list[NodeId] | tuple = ()
-    heard_epoch: int = 0
+    refuse_from: list[NodeId] | tuple = ()
+    refuse_epoch: int = 0
     # accepts pushes, never originates one: a virtual endpoint
     passive: bool = False
     # real nodes in the network: under valid labels, a node labeled above n
@@ -393,11 +393,11 @@ def on_push_request(v: NodeState, m: PushRequest) -> Sequence[Outbound]:
     Acceptance applies the inflow to the local ledger.  Either reply carries
     our current label so the sender can repair its cache.  A node the
     current epoch's wave did not reach refuses pushes from the neighbors it
-    heard that wave from while their label is at most n: accepting would
-    give it residual capacity toward a node that can still reach r, and a
-    neighbor already lifted past the feeder by the cut-off wave would then
-    sit on an open path to r.  Its Nak reports at least the sender's label,
-    so the sender stops offering until it climbs above that.
+    heard that wave from (`refuse_from`) while their label is at most n:
+    accepting would give it residual capacity toward a node that can still
+    reach r, and a neighbor already lifted past the feeder by the cut-off
+    wave would then sit on an open path to r.  Its Nak reports at least the
+    sender's label, so the sender stops offering until it climbs above that.
     """
     sender = m.sender
     flow = v.edge_flow
@@ -408,7 +408,7 @@ def on_push_request(v: NodeState, m: PushRequest) -> Sequence[Outbound]:
     if amount <= 0:
         raise ProtocolError(f"push of non-positive amount {amount}")
     label = v.label
-    if v.heard and m.sender_label <= v.n and sender in v.heard:
+    if v.refuse_from and m.sender_label <= v.n and sender in v.refuse_from:
         if label < m.sender_label:
             label = m.sender_label
     elif label < m.sender_label:
@@ -460,8 +460,8 @@ def on_sink_distance(v: NodeState, m: SinkDistance) -> Sequence[Outbound]:
     makes us one hop further from r than it.  Labels never decrease, so a
     node already above that keeps its label.  We forward the hop distance,
     which never exceeds our label, to every channel neighbor.  A wave we do
-    not adopt is remembered by sender until we are reached: those neighbors
-    can reach r and we cannot.
+    not adopt is remembered by sender, in `refuse_from`, until we are
+    reached: those neighbors can reach r and we cannot.
     """
     w = m.sender
     cache = v.neighbor_labels
@@ -475,15 +475,15 @@ def on_sink_distance(v: NodeState, m: SinkDistance) -> Sequence[Outbound]:
         return ()
     # the plain check first: the call only matters with a push in flight to w
     if v.cap[w] - v.edge_flow[w] <= 0 and not _has_residual(v, w):
-        if v.heard_epoch != epoch:
-            v.heard_epoch = epoch
-            v.heard = [w]
+        if v.refuse_epoch != epoch:
+            v.refuse_epoch = epoch
+            v.refuse_from = [w]
         else:
-            v.heard.append(w)
+            v.refuse_from.append(w)
         return ()
     v.reached = epoch
-    if v.heard:
-        v.heard = ()
+    if v.refuse_from:
+        v.refuse_from = ()
     hops = m.label + 1
     if hops > v.label:
         v.label = hops
@@ -510,8 +510,8 @@ def on_cut_off(v: NodeState, m: CutOff) -> Sequence[Outbound]:
     epoch = m.epoch
     if v.cut_off >= epoch or v.reached >= epoch or v.cap[w] - v.edge_flow[w] <= 0:
         return ()
-    if v.heard_epoch == epoch:
-        for u in v.heard:
+    if v.refuse_epoch == epoch:
+        for u in v.refuse_from:
             if _has_residual(v, u):
                 return ()
     v.cut_off = epoch
@@ -520,15 +520,3 @@ def on_cut_off(v: NodeState, m: CutOff) -> Sequence[Outbound]:
         v.label = level
     wave = CutOff(v.id, level, epoch)
     return [(u, wave) for u in v.channel_neighbors]
-
-
-def check_node_invariants(v: NodeState, n: int) -> None:
-    """Per-node safety checks: non-negative excess, capacity bound, label bound."""
-    if v.excess < 0:
-        raise ProtocolError(f"node {v.id} has negative excess {v.excess}")
-    if v.label > 2 * (n + 2):
-        raise ProtocolError(f"node {v.id} label {v.label} exceeds bound {2 * (n + 2)}")
-    for w, f in v.edge_flow.items():
-        if f > v.cap[w]:
-            raise ProtocolError(f"flow f({v.id},{w})={f} exceeds capacity {v.cap[w]}")
-

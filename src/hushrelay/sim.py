@@ -104,7 +104,6 @@ class SimConfig:
 
     seed: int = 0
     latency: LatencyModel = field(default_factory=lambda: LatencyModel.constant(1))
-    check_invariants: bool = False
 
 
 @dataclass(slots=True)
@@ -237,10 +236,9 @@ class Simulator:
         span = lat_hi - lat_lo + 1
         bits = span.bit_length()
         getrandbits = self._rng.getrandbits
-        check = self.cfg.check_invariants
         trace = self._trace
-        n = self.graph.n
-        bound = 2 * (n + 2)
+        bound = 2 * (self.graph.n + 2)
+        # read off the module at each call, so a test oracle can wrap the handlers
         on_activate = protocol.on_activate
         on_push_request = protocol.on_push_request
         on_label_update = protocol.on_label_update
@@ -326,8 +324,6 @@ class Simulator:
                     while draw >= span:
                         draw = getrandbits(bits)
                     slots[(now + lat_lo + draw) % size].append(event)
-            if check:
-                protocol.check_node_invariants(st, n)
         self._waves = waves
         self.relabels = relabels
         self._work = work

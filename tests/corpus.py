@@ -8,7 +8,9 @@ random graph (n 4-300, log-uniform, so small networks dominate; m_attach
 1-3; capacities drawn from 0, so some channel directions have none, and a
 random graph may leave nodes with no path to the receiver), a sender, a
 receiver, a value at or below max-flow or up to 40 above it, and one of
-LATENCIES.  Every run has check_invariants on.
+LATENCIES.  Every run is inside the per-event invariant oracle
+(`tests.oracles.invariants_checked`), which checks each handled node after
+every event.
 
 An instance is wrong when run() delivers anything but min(value, max-flow)
 by `maxflow_augmenting` (and by scipy's maximum_flow, when scipy imports),
@@ -40,7 +42,7 @@ from hushrelay.report import reconstruct, run_report
 from hushrelay.sim import LatencyModel, SimConfig, Simulator
 from hushrelay.topology import BAConfig, generate_ba
 
-from .oracles import scipy_max_flow, step
+from .oracles import invariants_checked, scipy_max_flow, step
 
 LATENCIES = ("const:1", "const:3", "uniform:1:3", "uniform:1:10", "uniform:1:100")
 
@@ -87,14 +89,13 @@ def instance(seed: int, index: int) -> Instance:
 
 def route(inst: Instance, stepped: bool):
     """run()'s outcome and trace text; with `stepped`, driven by step() to the end first."""
-    cfg = SimConfig(
-        seed=inst.sim_seed, latency=LatencyModel.parse(inst.latency), check_invariants=True
-    )
+    cfg = SimConfig(seed=inst.sim_seed, latency=LatencyModel.parse(inst.latency))
     buf = io.StringIO()
     sim = Simulator(inst.graph, inst.s, inst.r, inst.value, cfg, trace=buf)
-    while stepped and step(sim):
-        pass
-    return sim.run(), buf.getvalue()
+    with invariants_checked(inst.graph.n):
+        while stepped and step(sim):
+            pass
+        return sim.run(), buf.getvalue()
 
 
 def flow_pipeline(inst: Instance, out) -> list[str]:

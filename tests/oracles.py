@@ -1,11 +1,14 @@
-"""Test-only oracles: a second max-flow route, scipy's max-flow, the min-cut certificate check, a flow check, hop distances, netted flow updates, balance shifts, single-event stepping and quiescence."""
+"""Test-only oracles: a second max-flow route, scipy's max-flow, the min-cut certificate check, a flow check, hop distances, netted flow updates, balance shifts, per-event node invariants, single-event stepping and quiescence."""
 
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
+from typing import Iterator
 
+from hushrelay import protocol
 from hushrelay.graph import ChannelGraph, FlowAssignment, Funds, NodeId
-from hushrelay.protocol import NodeState
+from hushrelay.protocol import NodeState, ProtocolError
 from hushrelay.sim import Simulator
 
 
@@ -171,6 +174,54 @@ def validate_flow(flow: FlowAssignment, g: ChannelGraph) -> None:
     bad = {v: a for v, a in sorted(net.items()) if a and v not in (flow.source, flow.sink)}
     if bad:
         raise CapacityViolation(f"conservation broken: net inflow {bad}")
+
+
+def check_node_invariants(v: NodeState, n: int) -> None:
+    """Per-node safety checks: non-negative excess, capacity bound, label bound."""
+    if v.excess < 0:
+        raise ProtocolError(f"node {v.id} has negative excess {v.excess}")
+    if v.label > 2 * (n + 2):
+        raise ProtocolError(f"node {v.id} label {v.label} exceeds bound {2 * (n + 2)}")
+    for w, f in v.edge_flow.items():
+        if f > v.cap[w]:
+            raise ProtocolError(f"flow f({v.id},{w})={f} exceeds capacity {v.cap[w]}")
+
+
+HANDLERS = (
+    "on_activate",
+    "on_push_request",
+    "on_reply",
+    "on_label_update",
+    "on_sink_distance",
+    "on_cut_off",
+)
+
+
+@contextmanager
+def invariants_checked(n: int) -> Iterator[None]:
+    """Inside the block, every protocol handler checks the node it handled, on a network of n nodes.
+
+    The six `protocol.on_*` handlers are wrapped on the module, so every
+    event of a run started or stepped inside the block is checked: the
+    simulator reads its handlers off the module each time it dispatches.
+    """
+    saved = {name: getattr(protocol, name) for name in HANDLERS}
+
+    def checked(handler):
+        def call(v: NodeState, *args):
+            out = handler(v, *args)
+            check_node_invariants(v, n)
+            return out
+
+        return call
+
+    for name, handler in saved.items():
+        setattr(protocol, name, checked(handler))
+    try:
+        yield
+    finally:
+        for name, handler in saved.items():
+            setattr(protocol, name, handler)
 
 
 def active(st: NodeState) -> bool:

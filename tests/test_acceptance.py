@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 PASS lines.  The randomized corpus (criteria 2, 3, 4 and 6) is built once
-per session with invariant checking enabled and shared across tests.
+per session under the per-event invariant oracle and shared across tests.
 """
 
 import random
@@ -22,6 +22,7 @@ from hushrelay.sim import LatencyModel, SimConfig, Simulator
 from hushrelay.topology import BAConfig, WorkloadConfig, generate_ba, generate_workload
 
 from .conftest import A, B, C, R, S, five_node_graph, run_report_observed
+from .oracles import invariants_checked
 
 CORPUS_SIZE = 1000
 
@@ -45,8 +46,9 @@ class CorpusRow:
 def corpus():
     """1000 routed instances, n in [10, 60], caps U[20, 100], vals U[10, 80].
 
-    Every run has invariant checking enabled; any capacity, negative-excess
-    or terminal-excess breach raises inside Simulator.run and fails the
+    Every run is inside `invariants_checked`, which checks each handled node
+    after every event; any capacity, negative-excess, label or
+    terminal-excess breach raises inside Simulator.run and fails the
     building of this fixture.
     """
     rows = []
@@ -60,7 +62,8 @@ def corpus():
         if r >= s:
             r += 1
         val = rng.randint(10, 80)
-        out = Simulator(g, s, r, val, SimConfig(seed=i, check_invariants=True)).run()
+        with invariants_checked(n):
+            out = Simulator(g, s, r, val, SimConfig(seed=i)).run()
         oracle_max = maxflow_augmenting(g, s, r).max_value
         rows.append(
             CorpusRow(n, g.channel_count, val, oracle_max, out.delivered, out.returned, out.messages_sent)
@@ -70,7 +73,8 @@ def corpus():
 
 def test_criterion_1_golden_replay(example_graph):
     started = time.perf_counter()
-    out = Simulator(example_graph, S, R, 15, SimConfig(seed=0, check_invariants=True)).run()
+    with invariants_checked(example_graph.n):
+        out = Simulator(example_graph, S, R, 15, SimConfig(seed=0)).run()
     elapsed = time.perf_counter() - started
     assert out.delivered == 15
     assert out.returned == 0
@@ -106,8 +110,9 @@ def test_criterion_3_delivered_is_min_of_value_and_max(corpus):
 
 def test_criterion_4_runtime_invariants_never_trip(corpus):
     rows, _ = corpus
-    # the corpus runs with check_invariants=True: capacity and excess are
-    # checked per event, terminal excess and ledger mirroring at extraction;
+    # the corpus runs inside the invariant oracle: capacity, excess and the
+    # label bound are checked after every event, terminal excess and ledger
+    # mirroring by Simulator.outcome();
     # reaching here means no run raised.  Conservation re-asserted cheaply:
     assert all(r.delivered + r.returned == r.val for r in rows)
     _ok(4, f"no invariant assertion tripped across {len(rows)} checked runs")
@@ -155,7 +160,8 @@ def test_criterion_6_message_budget(corpus):
             r += 1
         # everything the source can emit plus more: forces a full drain-back
         val = sum(g.cap[s].values()) + rng.randint(1, 80)
-        out = Simulator(g, s, r, val, SimConfig(seed=i, check_invariants=True)).run()
+        with invariants_checked(g.n):
+            out = Simulator(g, s, r, val, SimConfig(seed=i)).run()
         calib.append(out.messages_sent / (12 * 12 * (g.channel_count + 2)))
     c = max(calib)
     assert c <= 10.0

@@ -119,6 +119,21 @@ class TestRoute:
         monkeypatch.setenv("HUSHRELAY_SEED", "9")
         assert main(["route", "--network", example_file, "--source", "0", "--sink", "4", "--amount", "15"]) == 0
 
+    def test_non_integer_env_seed_is_usage_error(self, example_file, monkeypatch, capsys):
+        monkeypatch.setenv("HUSHRELAY_SEED", "nine")
+        assert main(["route", "--network", example_file, "--source", "0", "--sink", "4", "--amount", "15"]) == 2
+        assert "HUSHRELAY_SEED must be an integer, got 'nine'" in capsys.readouterr().err
+
+    def test_source_out_of_range_is_usage_error(self, example_file, capsys):
+        assert main(["route", "--network", example_file, "--source", "99", "--sink", "4", "--amount", "15"]) == 2
+        assert "usage error: node 99 out of range 0..4" in capsys.readouterr().err
+
+    def test_check_flag_is_usage_error(self, example_file):
+        # per-event invariant checks are a test oracle (tests/oracles.py), not an option
+        assert main([
+            "route", "--network", example_file, "--source", "0", "--sink", "4", "--amount", "15", "--check",
+        ]) == 2
+
 
 class TestBench:
     def test_csv_output_deterministic(self, tmp_path, capsys):
@@ -180,6 +195,28 @@ class TestBench:
         ]) == 0
         doc = json.loads(path.read_text())
         assert doc["aggregate"]["txn_count"] == 5
+
+    def test_single_seed_spec_is_one_report(self, tmp_path, capsys):
+        # a one-seed --seeds is no sweep: one report, and JSON is allowed
+        paths = tmp_path / "seeds.json", tmp_path / "seed.json"
+        for flags, path in ((["--seeds", "5"], paths[0]), (["--seed", "5"], paths[1])):
+            assert main([
+                "bench", "--nodes", "15", "--txns", "5", *flags,
+                "--format", "json", "--out", str(path),
+            ]) == 0
+            out = capsys.readouterr().out
+            assert [line for line in out.splitlines() if line.startswith("seed ")] == ["seed 5:"]
+        assert paths[0].read_text() == paths[1].read_text()
+
+    @pytest.mark.parametrize("spec", ["5..4", "x..3", "x"])
+    def test_bad_seed_spec_is_usage_error(self, spec, capsys):
+        assert main(["bench", "--nodes", "10", "--txns", "5", "--seeds", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{spec!r}" in err
+
+    def test_check_flag_is_usage_error(self):
+        assert main(["bench", "--nodes", "10", "--txns", "5", "--check"]) == 2
 
     def test_json_seed_sweep_is_usage_error(self, tmp_path, capsys):
         # a sweep writes one CSV row per seed; it is refused before any seed is routed

@@ -80,6 +80,22 @@ def test_wrong_field_count_rejected():
     assert exc.value.line_no == 2
 
 
+def test_comment_and_blank_lines_between_channels_accepted():
+    text = "pcn 3\nchan 0 1 5 5\n\n# a note\n   \nchan 1 2 3 4\n"
+    g = loads_network(text)
+    assert g.channel_count == 2 and g.cap[2][1] == 4
+    # skipped lines still count toward the line number
+    with pytest.raises(ParseError) as exc:
+        loads_network(text + "chan 0 2 x 1\n")
+    assert exc.value.line_no == 7
+
+
+def test_record_other_than_chan_reports_line():
+    with pytest.raises(ParseError, match="expected 'chan' record, got 'txn'") as exc:
+        loads_network("pcn 3\nchan 0 1 5 5\ntxn 1 2 5 5\n")
+    assert exc.value.line_no == 3
+
+
 def test_duplicate_channel_reports_line():
     bad = "pcn 3\nchan 0 1 5 5\nchan 1 0 5 5\n"
     with pytest.raises(ParseError) as exc:
@@ -124,3 +140,10 @@ def test_workload_rejects_node_ids_outside_the_network(text):
 def test_workload_rejects_non_positive_values(val):
     with pytest.raises(ParseError, match=f"line 2: value must be > 0, got {val}"):
         loads_workload(f"txn 0 1 5\ntxn 0 1 {val}\n", 4)
+
+
+@pytest.mark.parametrize("row", ["tx 0 1 5", "txn 0 1", "txn 0 1 5 6"])
+def test_workload_rejects_wrong_keyword_or_field_count(row):
+    with pytest.raises(ParseError, match="expected 'txn <s> <r> <val>'") as exc:
+        loads_workload(f"txn 0 1 5\n{row}\n", 4)
+    assert exc.value.line_no == 2

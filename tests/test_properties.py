@@ -9,12 +9,18 @@ from hypothesis import strategies as st
 from hushrelay.decompose import cancel_cycles, decompose
 from hushrelay.netfile import dumps_network, loads_network
 from hushrelay.oracle import maxflow_augmenting
-from hushrelay.protocol import check_node_invariants
 from hushrelay.sim import LatencyModel, SimConfig, Simulator
 from hushrelay.topology import BAConfig, generate_ba
 
 from .conftest import escrows, reversed_flow
-from .oracles import apply_flow, feasible_flow_sequential, scipy_max_flow, validate_flow
+from .oracles import (
+    apply_flow,
+    check_node_invariants,
+    feasible_flow_sequential,
+    invariants_checked,
+    scipy_max_flow,
+    validate_flow,
+)
 
 
 ba_configs = st.builds(
@@ -94,8 +100,9 @@ def test_infeasible_payments_deliver_max_flow_under_jitter():
         g, s, r, _ = random_instance(cfg, pick, 0)
         expected = maxflow_augmenting(g, s, r).max_value
         assert scipy_max_flow(g, s, r) == expected
-        cfg_sim = SimConfig(seed=pick, latency=LatencyModel(1, 10), check_invariants=True)
-        out = Simulator(g, s, r, expected + extra, cfg_sim).run()
+        cfg_sim = SimConfig(seed=pick, latency=LatencyModel(1, 10))
+        with invariants_checked(g.n):
+            out = Simulator(g, s, r, expected + extra, cfg_sim).run()
         assert out.delivered == expected
         assert out.returned == extra
         epochs.append(out.global_relabels)
@@ -118,8 +125,9 @@ def test_apply_flow_conserves_escrow_and_inverts(cfg, pick, val):
 @settings(max_examples=40, deadline=None)
 def test_routing_matches_oracle_and_keeps_invariants(cfg, pick, val):
     g, s, r, _ = random_instance(cfg, pick, val)
-    sim = Simulator(g, s, r, val, SimConfig(seed=pick, check_invariants=True))
-    out = sim.run()
+    sim = Simulator(g, s, r, val, SimConfig(seed=pick))
+    with invariants_checked(g.n):
+        out = sim.run()
     expected = min(val, maxflow_augmenting(g, s, r).max_value)
     assert out.delivered == expected
     assert out.delivered + out.returned == val

@@ -259,6 +259,11 @@ class TestOnPushRequest:
         with pytest.raises(UnknownNeighbor):
             on_push_request(states[A], PushRequest(B, 2, 5, 1))
 
+    def test_zero_amount_rejected(self, example_graph):
+        states = zero_labeled(example_graph, S, R, 15)
+        with pytest.raises(ProtocolError, match="push of non-positive amount 0"):
+            on_push_request(states[C], PushRequest(B, 2, 0, 1))
+
 
 class TestOnReply:
     def _pushed_source(self, example_graph):
@@ -467,9 +472,9 @@ class TestOnSinkDistance:
         states = zero_labeled(example_graph, S, R, 15)
         st = states[A]
         on_sink_distance(st, SinkDistance(S, 3, 2))  # no capacity from A toward S
-        assert st.heard == [S] and st.heard_epoch == 2
+        assert st.refuse_from == [S] and st.refuse_epoch == 2
         on_sink_distance(st, SinkDistance(C, 1, 2))
-        assert st.reached == 2 and not st.heard
+        assert st.reached == 2 and not st.refuse_from
 
 
 class TestRefusal:

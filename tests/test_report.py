@@ -87,6 +87,12 @@ class TestBuildReport:
         # a unit draws its nonce after packing the fact, so nothing was sealed
         assert rng.getstate() == state
 
+    def test_relay_with_outflow_but_no_inflow_is_inconsistent(self):
+        f = FlowAssignment(0, 2)
+        f.out = {0: {2: 5}, 1: {2: 3}}
+        with pytest.raises(InconsistentFlow, match="relay 1 forwards flow it never received"):
+            run_report(f, rng=Random(1))
+
     def test_circulation_rejected(self):
         f = FlowAssignment(0, 3)
         for v, w, a in [(0, 1, 5), (1, 3, 5), (1, 2, 3), (2, 4, 3), (4, 1, 3)]:
@@ -106,6 +112,13 @@ class TestBuildReport:
         rr = run_report(out.flow, rng=Random(1))
         with pytest.raises(AuthFailure):
             reconstruct(S, R, rr.source_packets, b"\x01" * 32, rr.filler_set)
+
+
+class TestReportPacket:
+    @pytest.mark.parametrize("length", [0, UNIT_LEN - 1, UNIT_LEN + 1])
+    def test_length_not_a_unit_multiple_rejected(self, length):
+        with pytest.raises(ValueError, match=f"packet length {length} is not a unit multiple"):
+            ReportPacket(bytes(length))
 
 
 class TestRelayReport:
@@ -171,6 +184,13 @@ class TestReconstruct:
         with pytest.raises(InconsistentFlow):
             reconstruct(S, R, rr.source_packets + [forged[C]], rr.k_sink, rr.filler_set)
 
+
+    def test_zero_amount_fact_is_inconsistent(self):
+        # a sink that seals a fact of amount 0 lies: only positive edges are reported
+        k_sink = Random(22).randbytes(32)
+        sealed, fillers = build_report([(C, 0, KEY)], k_sink, depth=1, rng=Random(23))
+        with pytest.raises(InconsistentFlow, match=r"non-positive flow 0 reported on \(3, 4\)"):
+            reconstruct(S, R, [sealed[C]], k_sink, fillers)
 
     def test_forged_two_cycle_is_inconsistent(self, example_graph):
         # relays B and A each forge one more hop, A->B and B->A with equal

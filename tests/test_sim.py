@@ -16,8 +16,15 @@ from hushrelay.sim import (
 )
 from hushrelay.topology import BAConfig, generate_ba
 
-from .conftest import A, B, R, S
-from .oracles import public_hops, quiescent, step
+from .conftest import A, B, C, R, S
+from .oracles import (
+    HANDLERS,
+    check_node_invariants,
+    invariants_checked,
+    public_hops,
+    quiescent,
+    step,
+)
 
 
 class TestLatencyModel:
@@ -111,13 +118,18 @@ class TestRun:
         assert exc.value.sim.events_dispatched > 0
 
     def test_label_bound_checked_without_invariant_checks(self, example_graph):
-        sim = Simulator(example_graph, S, R, 15, SimConfig(seed=0, check_invariants=False))
+        sim = Simulator(example_graph, S, R, 15, SimConfig(seed=0))
         # corrupted caches: S's first relabel lands one above 2(n+2) = 14
         src = sim.states[S]
         for w in src.neighbor_labels:
             src.neighbor_labels[w] = 14
         with pytest.raises(ProtocolError, match="node 0 label 15 exceeds bound 14"):
             sim.run()
+
+    @pytest.mark.parametrize("s, r, bad", [(99, R, 99), (S, -1, -1)])
+    def test_node_outside_the_network_rejected(self, example_graph, s, r, bad):
+        with pytest.raises(ValueError, match=f"node {bad} out of range 0..4"):
+            Simulator(example_graph, s, r, 15, SimConfig(seed=0))
 
     def test_simulated_time_is_last_delivery(self, example_graph):
         out = Simulator(example_graph, S, R, 15, SimConfig(seed=0)).run()
@@ -135,6 +147,49 @@ class TestRun:
         assert step(sim)
         assert (sim.simulated_time, sim.messages_sent, sim.messages_delivered) == (0, 2, 0)
         assert sim.states[S].pending == {A: (0, 10), B: (1, 5)}
+
+
+def past_capacity(on_activate):
+    """on_activate as if every capacity were doubled: it pushes past residual capacity."""
+
+    def call(v):
+        cap = v.cap
+        v.cap = {w: 2 * c for w, c in cap.items()}
+        try:
+            return on_activate(v)
+        finally:
+            v.cap = cap
+
+    return call
+
+
+class TestInvariantOracle:
+    @pytest.mark.parametrize("breach, message", [
+        (lambda st: setattr(st, "excess", -1), "node 1 has negative excess -1"),
+        (lambda st: st.edge_flow.__setitem__(C, 11), r"flow f\(1,3\)=11 exceeds capacity 10"),
+        (lambda st: setattr(st, "label", 15), "node 1 label 15 exceeds bound 14"),
+    ], ids=["negative-excess", "over-capacity", "label-bound"])
+    def test_each_breach_raises(self, example_graph, breach, message):
+        st = Simulator(example_graph, S, R, 15, SimConfig(seed=0)).states[A]
+        check_node_invariants(st, example_graph.n)
+        breach(st)
+        with pytest.raises(ProtocolError, match=message):
+            check_node_invariants(st, example_graph.n)
+
+    def test_push_past_capacity_fails_the_run(self, example_graph, monkeypatch):
+        broken = past_capacity(protocol.on_activate)
+        monkeypatch.setattr(protocol, "on_activate", broken)
+        sim = Simulator(example_graph, S, R, 15, SimConfig(seed=0))
+        with invariants_checked(example_graph.n):
+            with pytest.raises(ProtocolError, match=r"flow f\(0,1\)=15 exceeds capacity 10"):
+                sim.run()
+        assert protocol.on_activate is broken  # the block restores what it wrapped
+
+    def test_wraps_every_handler_inside_the_block_only(self):
+        handlers = {name: getattr(protocol, name) for name in HANDLERS}
+        with invariants_checked(5):
+            assert all(getattr(protocol, name) is not h for name, h in handlers.items())
+        assert {name: getattr(protocol, name) for name in HANDLERS} == handlers
 
 
 class TestQuiescent:
