@@ -30,9 +30,12 @@ Key rules:
     from r that lifts every node it reaches to its hop distance to r over
     residual channels (under jittered latency, the length of the path the
     wave first arrived along).  Once that wave has died out, a CutOff wave
-    from s lifts the nodes it did not reach, and from which s can be
-    reached, to n+2 plus their hop distance to the feeder, so undeliverable
-    excess drains back without climbing one relabel at a time.
+    from s follows the flow: it lifts the nodes the SinkDistance wave did
+    not reach and that s sent flow to, directly or through lifted nodes, to
+    n+2 plus their distance from the feeder along that flow.  Until a later
+    SinkDistance wave reaches it, a lifted node pushes and relabels only
+    over the edges that brought it flow, so undeliverable excess drains
+    back the way it came without climbing one relabel at a time.
 
 Routing an amount val attaches a virtual source feeding s exactly val and a
 virtual sink absorbing at most val from r.  Both are passive: they accept
@@ -63,6 +66,10 @@ class SameSourceSink(ValueError):
 
 
 class ZeroValue(ValueError):
+    pass
+
+
+class NodeOutOfRange(ValueError):
     pass
 
 
@@ -295,7 +302,7 @@ def init_instance(g: ChannelGraph, s: NodeId, r: NodeId, val: Funds) -> NodeStat
         raise ZeroValue(f"routed value must be > 0, got {val}")
     for v in (s, r):
         if not 0 <= v < g.n:
-            raise ValueError(f"node {v} out of range 0..{g.n - 1}")
+            raise NodeOutOfRange(f"node {v} out of range 0..{g.n - 1}")
     sp, rp = g.n, g.n + 1
     states = NodeStates(g, r)
 
@@ -332,13 +339,17 @@ def relabel(v: NodeState) -> LabelUpdate:
     """Raise v's label to one above its lowest residual neighbor.
 
     Precondition (caller-checked): v has excess and every residual neighbor's
-    cached label is >= d(v).  Broadcast the new label to all neighbors.
+    cached label is >= d(v).  Broadcast the new label to all neighbors.  A
+    node lifted by a cut-off wave that no later SinkDistance wave has reached
+    (`cut_off > reached`) looks only at the edges that brought flow in.
     """
     lowest = None
     cap = v.cap
     flow = v.edge_flow
+    lifted = v.cut_off > v.reached
     for w, lbl in v.neighbor_labels.items():
-        if cap[w] - flow[w] > 0 and (lowest is None or lbl < lowest):
+        f = flow[w]
+        if (f < 0 if lifted else cap[w] - f > 0) and (lowest is None or lbl < lowest):
             lowest = lbl
     if lowest is None:
         raise ProtocolError(f"node {v.id} has excess but no residual neighbor")
@@ -350,8 +361,10 @@ def on_activate(v: NodeState) -> Sequence[Outbound]:
     """Push excess to eligible neighbors; relabel when none remain.
 
     Eligible: positive residual, cached label below ours, no push already in
-    flight on that edge.  With pushes in flight we do not relabel; the
-    replies re-activate us.
+    flight on that edge.  A node lifted by a cut-off wave that no later
+    SinkDistance wave has reached pushes only over edges that brought flow
+    in (negative ledger), back toward the feeder.  With pushes in flight we
+    do not relabel; the replies re-activate us.
     """
     excess = v.excess
     if excess <= 0 or v.passive:
@@ -363,10 +376,14 @@ def on_activate(v: NodeState) -> Sequence[Outbound]:
     cap = v.cap
     pending = v.pending
     vid = v.id
+    lifted = v.cut_off > v.reached
     for w in flow:
         if cache[w] >= label or w in pending:
             continue
-        res = cap[w] - flow[w]
+        f = flow[w]
+        if lifted and f >= 0:
+            continue
+        res = cap[w] - f
         if res <= 0:
             continue
         delta = excess if excess < res else res
@@ -492,13 +509,30 @@ def on_sink_distance(v: NodeState, m: SinkDistance) -> Sequence[Outbound]:
 
 
 def on_cut_off(v: NodeState, m: CutOff) -> Sequence[Outbound]:
-    """Feed the label cache; take and forward the epoch's first cut-off over a residual edge.
+    """Feed the label cache; take the epoch's first cut-off over a residual edge and forward it along the flow.
 
     The wave starts at s (as if sent by the feeder at label n+2) once the
     epoch's SinkDistance wave has died out.  Only a node that wave did not
     reach, and that has no residual capacity toward any neighbor it heard
     the wave from, takes the sender's level + 1; every other node only
-    updates its cache.  Levels stay at most 2n+2 on n real nodes.
+    updates its cache.  Levels stay at most 2n+2 on n real nodes.  A lifted
+    node forwards the wave only to the neighbors it has sent flow to
+    (positive ledger), and returns its excess the way the flow came in
+    (`on_activate`, `relabel`): the second phase of Cherkassky and
+    Goldberg's two-phase push-relabel.
+
+    Why the confined wave still lifts every node it must:
+      - every node holding excess has a positive-flow path from s;
+      - when that node cannot reach r (the SinkDistance wave missed it),
+        no node on that path can: if one could, the reverse of its flow
+        edge would let the next node on the path reach r too, and so on
+        down to the node holding excess;
+      - so the wave, forwarded along positive flow, still reaches every
+        unreached node that holds excess.
+    A lifted node's excess is at most its net inflow, so it always has an
+    edge that brought flow in, and the node it took the wave from sent it
+    flow and sits one level lower: an admissible return edge exists, and
+    `relabel` never finds no residual neighbor.
     """
     w = m.sender
     cache = v.neighbor_labels
@@ -519,4 +553,5 @@ def on_cut_off(v: NodeState, m: CutOff) -> Sequence[Outbound]:
     if level > v.label:
         v.label = level
     wave = CutOff(v.id, level, epoch)
-    return [(u, wave) for u in v.channel_neighbors]
+    flow = v.edge_flow
+    return [(u, wave) for u in v.channel_neighbors if flow[u] > 0]

@@ -217,8 +217,8 @@ class Simulator:
         The one and only dispatch loop, which run() drives; once a run has
         started it is the only code that sends a message.
         Local bindings matter here: this loop runs once per event, and a
-        `drain` payment sends about 1.3k messages, the desk-scale workload's
-        infeasible payments about 12k at the median.  Events run from the
+        `drain` payment sends about 1.0k messages, the desk-scale workload's
+        infeasible payments about 8.8k at the median.  Events run from the
         current tick's slot in FIFO order.  When it is empty, the next
         non-empty slot within the ring is the next tick with an event; when
         every slot is empty, nothing is left to run.  Time advances only

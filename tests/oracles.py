@@ -8,7 +8,7 @@ from typing import Iterator
 
 from hushrelay import protocol
 from hushrelay.graph import ChannelGraph, FlowAssignment, Funds, NodeId
-from hushrelay.protocol import NodeState, ProtocolError
+from hushrelay.protocol import NodeState, ProtocolError, PushRequest
 from hushrelay.sim import Simulator
 
 
@@ -187,6 +187,13 @@ def check_node_invariants(v: NodeState, n: int) -> None:
             raise ProtocolError(f"flow f({v.id},{w})={f} exceeds capacity {v.cap[w]}")
 
 
+def check_lifted_pushes(v: NodeState, out, inflow: set[NodeId]) -> None:
+    """A lifted node's pushes go only over the edges in inflow, whose ledgers were negative before it pushed."""
+    for w, m in out:
+        if type(m) is PushRequest and w not in inflow:
+            raise ProtocolError(f"lifted node {v.id} pushed to {w}, which had sent it no flow")
+
+
 HANDLERS = (
     "on_activate",
     "on_push_request",
@@ -204,6 +211,9 @@ def invariants_checked(n: int) -> Iterator[None]:
     The six `protocol.on_*` handlers are wrapped on the module, so every
     event of a run started or stepped inside the block is checked: the
     simulator reads its handlers off the module each time it dispatches.
+    An activation of a node the cut-off wave lifted, and no later
+    SinkDistance wave reached, also checks that it pushed only back along
+    its inflow.
     """
     saved = {name: getattr(protocol, name) for name in HANDLERS}
 
@@ -215,8 +225,21 @@ def invariants_checked(n: int) -> Iterator[None]:
 
         return call
 
+    def checked_activate(handler):
+        def call(v: NodeState):
+            lifted = v.cut_off > v.reached
+            if lifted:
+                inflow = {w for w, f in v.edge_flow.items() if f < 0}
+            out = handler(v)
+            check_node_invariants(v, n)
+            if lifted:
+                check_lifted_pushes(v, out, inflow)
+            return out
+
+        return call
+
     for name, handler in saved.items():
-        setattr(protocol, name, checked(handler))
+        setattr(protocol, name, (checked_activate if name == "on_activate" else checked)(handler))
     try:
         yield
     finally:

@@ -47,7 +47,7 @@ def corpus():
     """1000 routed instances, n in [10, 60], caps U[20, 100], vals U[10, 80].
 
     Every run is inside `invariants_checked`, which checks each handled node
-    after every event; any capacity, negative-excess, label or
+    after every event; any capacity, negative-excess, label, lifted-push or
     terminal-excess breach raises inside Simulator.run and fails the
     building of this fixture.
     """
@@ -110,9 +110,9 @@ def test_criterion_3_delivered_is_min_of_value_and_max(corpus):
 
 def test_criterion_4_runtime_invariants_never_trip(corpus):
     rows, _ = corpus
-    # the corpus runs inside the invariant oracle: capacity, excess and the
-    # label bound are checked after every event, terminal excess and ledger
-    # mirroring by Simulator.outcome();
+    # the corpus runs inside the invariant oracle: capacity, excess, the
+    # label bound and a lifted node's pushes are checked after every event,
+    # terminal excess and ledger mirroring by Simulator.outcome();
     # reaching here means no run raised.  Conservation re-asserted cheaply:
     assert all(r.delivered + r.returned == r.val for r in rows)
     _ok(4, f"no invariant assertion tripped across {len(rows)} checked runs")

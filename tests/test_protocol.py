@@ -504,29 +504,43 @@ class TestRefusal:
 
 
 class TestOnCutOff:
+    @staticmethod
+    def relayed(states, v):
+        """v took 5 from the neighbor before it on the example's paths and passed them on toward R."""
+        st = states[v]
+        before, after = {A: (S, C), C: (A, R)}[v]
+        st.edge_flow[before], st.edge_flow[after] = -5, 5
+        return st
+
     def test_lifts_unreached_node_and_forwards_its_level(self, example_graph):
+        st = self.relayed(zero_labeled(example_graph, S, R, 15), A)
+        out = on_cut_off(st, CutOff(S, 9, 2))
+        assert st.label == 10 and st.cut_off == 2
+        # not back to S, which sent A flow: only to C, which A sent flow to
+        assert out == [(C, CutOff(A, 10, 2))]
+
+    def test_node_with_no_outflow_lifts_and_forwards_nothing(self, example_graph):
         states = zero_labeled(example_graph, S, R, 15)
         st = states[A]
-        out = on_cut_off(st, CutOff(C, 9, 2))
+        st.edge_flow[S], st.excess = -5, 5  # A holds all S sent it
+        assert on_cut_off(st, CutOff(S, 9, 2)) == []
         assert st.label == 10 and st.cut_off == 2
-        assert out == [(S, CutOff(A, 10, 2)), (C, CutOff(A, 10, 2))]
 
     def test_taken_once_per_epoch_but_always_cached(self, example_graph):
-        states = zero_labeled(example_graph, S, R, 15)
-        st = states[C]
-        on_cut_off(st, CutOff(R, 9, 2))
-        assert not on_cut_off(st, CutOff(R, 12, 2))
-        assert st.label == 10 and st.neighbor_labels[R] == 12
-        assert on_cut_off(st, CutOff(R, 12, 3))  # the next epoch lifts again
+        st = self.relayed(zero_labeled(example_graph, S, R, 15), C)
+        assert on_cut_off(st, CutOff(A, 9, 2)) == [(R, CutOff(C, 10, 2))]
+        assert not on_cut_off(st, CutOff(A, 12, 2))
+        assert st.label == 10 and st.neighbor_labels[A] == 12
+        # the next epoch lifts again
+        assert on_cut_off(st, CutOff(A, 12, 3)) == [(R, CutOff(C, 13, 3))]
         assert st.label == 13
 
     def test_never_lowers_own_label(self, example_graph):
-        states = zero_labeled(example_graph, S, R, 15)
-        st = states[C]
+        st = self.relayed(zero_labeled(example_graph, S, R, 15), C)
         st.label = 20
-        out = on_cut_off(st, CutOff(R, 9, 2))
+        out = on_cut_off(st, CutOff(A, 9, 2))
         assert st.label == 20
-        assert {m.label for _, m in out} == {10}
+        assert out == [(R, CutOff(C, 10, 2))]
 
     def test_node_reached_this_epoch_only_caches(self, example_graph):
         states = zero_labeled(example_graph, S, R, 15)
@@ -553,6 +567,49 @@ class TestOnCutOff:
         states = zero_labeled(example_graph, S, R, 15)
         with pytest.raises(UnknownNeighbor):
             on_cut_off(states[A], CutOff(B, 9, 2))
+
+
+class TestLiftedNode:
+    """A node the cut-off wave lifted, and no later SinkDistance wave reached, returns excess the way it came."""
+
+    @staticmethod
+    def lifted(states):
+        # C took 2 from A and 8 from B, passed 5 on to R and holds 5; R is
+        # cached far below C's label, A just below it and B above it
+        st = states[C]
+        st.edge_flow.update({A: -2, B: -8, R: 5})
+        st.excess = 5
+        st.label, st.cut_off = 12, 2
+        st.neighbor_labels.update({A: 11, B: 13, R: 0})
+        return st
+
+    def test_pushes_only_back_along_its_inflow(self, example_graph):
+        st = self.lifted(zero_labeled(example_graph, S, R, 15))
+        # A takes back its 2; R is lower and has residual capacity for
+        # the other 3, but C sent it flow
+        assert on_activate(st) == [(A, PushRequest(C, 0, 2, 12))]
+        assert st.edge_flow == {A: 0, B: -8, R: 5} and st.excess == 3
+
+    def test_relabels_to_one_above_its_lowest_inflow_neighbor(self, example_graph):
+        st = self.lifted(zero_labeled(example_graph, S, R, 15))
+        st.neighbor_labels[A] = 15
+        # B at 13 is the lowest inflow neighbor; R at 0 would give 1
+        assert protocol.relabel(st) == LabelUpdate(C, 14)
+        assert st.label == 14
+
+    def test_stuck_on_its_inflow_it_relabels_instead_of_pushing_outward(self, example_graph):
+        st = self.lifted(zero_labeled(example_graph, S, R, 15))
+        st.neighbor_labels[A] = 15
+        out = on_activate(st)
+        assert out == [(w, LabelUpdate(C, 14)) for w in (A, B, R)]
+        assert st.excess == 5 and not st.pending
+
+    def test_reached_by_a_later_wave_it_pushes_freely_again(self, example_graph):
+        st = self.lifted(zero_labeled(example_graph, S, R, 15))
+        st.neighbor_labels[A] = 15
+        on_sink_distance(st, SinkDistance(R, 0, 3))
+        assert st.reached == 3 > st.cut_off and st.label == 12
+        assert on_activate(st) == [(R, PushRequest(C, 0, 5, 12))]
 
 
 class TestExtractOutcome:

@@ -6,7 +6,7 @@ import pytest
 from hushrelay import cli, protocol
 from hushrelay.graph import ChannelGraph
 from hushrelay.netfile import dumps_network, loads_network
-from hushrelay.protocol import Nak, NodeStates, ProtocolError
+from hushrelay.protocol import Nak, NodeOutOfRange, NodeStates, ProtocolError
 from hushrelay.sim import (
     MAX_DELAY,
     EventBudgetExhausted,
@@ -128,7 +128,7 @@ class TestRun:
 
     @pytest.mark.parametrize("s, r, bad", [(99, R, 99), (S, -1, -1)])
     def test_node_outside_the_network_rejected(self, example_graph, s, r, bad):
-        with pytest.raises(ValueError, match=f"node {bad} out of range 0..4"):
+        with pytest.raises(NodeOutOfRange, match=f"node {bad} out of range 0..4"):
             Simulator(example_graph, s, r, 15, SimConfig(seed=0))
 
     def test_simulated_time_is_last_delivery(self, example_graph):
@@ -163,6 +163,20 @@ def past_capacity(on_activate):
     return call
 
 
+def ignoring_the_lift(on_activate):
+    """on_activate as if no cut-off wave had lifted the node: it pushes over any residual edge."""
+
+    def call(v):
+        cut_off = v.cut_off
+        v.cut_off = 0
+        try:
+            return on_activate(v)
+        finally:
+            v.cut_off = cut_off
+
+    return call
+
+
 class TestInvariantOracle:
     @pytest.mark.parametrize("breach, message", [
         (lambda st: setattr(st, "excess", -1), "node 1 has negative excess -1"),
@@ -184,6 +198,20 @@ class TestInvariantOracle:
             with pytest.raises(ProtocolError, match=r"flow f\(0,1\)=15 exceeds capacity 10"):
                 sim.run()
         assert protocol.on_activate is broken  # the block restores what it wrapped
+
+    def test_lifted_push_outward_fails_the_run(self, monkeypatch):
+        # the ring's excess crosses the bridge's 5 units and drains back;
+        # a lifted ring node that pushes on along its outflow is caught
+        monkeypatch.setattr(protocol, "on_activate", ignoring_the_lift(protocol.on_activate))
+        g = bridged_graph(30, 8, 1)
+        sim = Simulator(g, 34, 29, 30, SimConfig(seed=0))
+        with invariants_checked(g.n):
+            with pytest.raises(ProtocolError, match="lifted node 32 pushed to 31, which had sent it no flow"):
+                sim.run()
+        # the same run, unbroken, passes the oracle
+        monkeypatch.undo()
+        with invariants_checked(g.n):
+            assert Simulator(g, 34, 29, 30, SimConfig(seed=0)).run().delivered == 5
 
     def test_wraps_every_handler_inside_the_block_only(self):
         handlers = {name: getattr(protocol, name) for name in HANDLERS}
@@ -470,8 +498,11 @@ class TestGlobalRelabeling:
         # 30 units from the ring to node 29 cross the 5-unit bridge; the
         # epoch-2 wave reaches all 30 nodes of the BA side, and each forwards
         # to all its channel neighbors: 2 * 57 messages inside, one over the
-        # bridge.  The cut-off wave then lifts the ring the same way: 2 * 8
-        # messages inside, one over the bridge.
+        # bridge.  The cut-off wave then follows the flow alone, not every
+        # ring channel both ways (2 * 8 + 1): from 34 down the ring to 30,
+        # over the bridge, and on through 37, 36 and 35, which the flow
+        # circled; 35 sends it back to 36 too, because its push to 36 is
+        # still in flight.  That is 4 + 1 + 3 + 1 messages.
         g = bridged_graph(30, 8, 1)
         buf = io.StringIO()
         out = Simulator(g, 34, 29, 30, SimConfig(seed=0), trace=buf).run()
@@ -479,7 +510,7 @@ class TestGlobalRelabeling:
         assert len(kinds) == out.messages_sent
         assert out.global_relabels == 1
         assert kinds.count("sink_distance") == 2 * 57 + 1
-        assert kinds.count("cut_off") == 2 * 8 + 1
+        assert kinds.count("cut_off") == 9
 
     def test_cut_off_region_never_regains_a_path_to_r(self, monkeypatch):
         # The refusal rule exists for this network: when every payment
@@ -488,8 +519,8 @@ class TestGlobalRelabeling:
         # which the wave reached, after node 29 had taken a cut-off level
         # over its residual channel to 30; the source returned 3 units that
         # could still have been delivered.  Routing 28 from 34 to 28 runs two
-        # later epochs, and nodes 25 and 36, which the epoch-2 wave missed,
-        # refuse 3 pushes from nodes 30 and 17, which it reached.
+        # later epochs, and node 25, which the epoch-2 wave missed, refuses 2
+        # pushes from node 30, which it reached.
         refused = []
         handler = protocol.on_push_request
 
@@ -503,7 +534,7 @@ class TestGlobalRelabeling:
         g = loads_network(CUT_OFF_RACE_NET)
         out = Simulator(g, 34, 28, 28, SimConfig(seed=0)).run()
         assert out.global_relabels == 2
-        assert sorted(set(refused)) == [(25, 30), (36, 17)] and len(refused) == 3
+        assert sorted(set(refused)) == [(25, 30)] and len(refused) == 2
         assert out.delivered == 4 and out.returned == 24
 
 
@@ -540,22 +571,22 @@ class TestPinnedSchedule:
 
     def test_drain_payment_with_an_epoch(self, drain_graph):
         out, digest = trace_digest(drain_graph, 53, 93, 143, "uniform:1:3", 0)
-        assert (out.global_relabels, out.messages_sent) == (1, 1211)
-        assert digest == "481076cfff71f99593cc56333368f836c4536cd960c97f81f808c4749a21cb0c"
+        assert (out.global_relabels, out.messages_sent) == (1, 899)
+        assert digest == "273b61b0ade578b48fcc62636d03f62b3f07bd5e238fa1ab5851c58430059e27"
 
     def test_drain_payment_under_wide_jitter(self, drain_graph):
-        # delays of 5 to 60 ticks over 5995 ticks: the event ring of 61
+        # delays of 5 to 60 ticks over 5960 ticks: the event ring of 61
         # slots wraps around over 90 times, and some ticks carry no event
         out, digest = trace_digest(drain_graph, 53, 93, 143, "uniform:5:60", 0)
-        assert (out.global_relabels, out.messages_sent, out.simulated_time) == (1, 1234, 5995)
-        assert digest == "8e23d49aa65bd25ecf38602326322981929c2d56ef554fdd21d222e94b1271c9"
+        assert (out.global_relabels, out.messages_sent, out.simulated_time) == (1, 916, 5960)
+        assert digest == "4975793e17eda47924e168e7d68eaaedb4fc88aac03937f8a53d3155eff18f67"
 
     @pytest.mark.parametrize("latency, messages, ticks, digest", [
         # a span of 8, a power of two: a draw takes 4 bits and redraws 8-15
-        ("uniform:1:8", 1229, 806, "1cd60e4a690f4e8a3f41287ebd94cb1dff86ee070fe36028f6a8977188ed9ca3"),
+        ("uniform:1:8", 911, 801, "800025a4d87b193cbe26295bf4f9c586f98483ad82dc07d53eec48dc88dcd440"),
         # a span of 2: a draw takes 2 bits and redraws 2 and 3
-        ("uniform:1:2", 1232, 266, "75d0dd4122fd481b61e1863cd0f098d81da5a3ca39c6fcf181df01bdda9c5123"),
-    ])
+        ("uniform:1:2", 914, 265, "d9bdd4f7129b1fca886e6b019dac8e2f30469e52532620a65ae61853a5554fe3"),
+    ], ids=["uniform:1:8", "uniform:1:2"])
     def test_drain_payment_under_narrow_jitter(self, drain_graph, latency, messages, ticks, digest):
         out, got = trace_digest(drain_graph, 53, 93, 143, latency, 0)
         assert (out.global_relabels, out.messages_sent, out.simulated_time) == (1, messages, ticks)
@@ -563,7 +594,7 @@ class TestPinnedSchedule:
 
     def test_payment_that_rolls_back_an_in_flight_push(self, monkeypatch):
         # 160 units from 2 to 1 on four nodes, max-flow 147: two later epochs
-        # and 106 messages.  Node 3 hears the epoch-3 wave from node 1 while
+        # and 103 messages.  Node 3 hears the epoch-3 wave from node 1 while
         # its push in flight saturates the channel to 1, so only the
         # roll-back rule finds that residual edge.
         rolled_back = []
@@ -577,8 +608,8 @@ class TestPinnedSchedule:
         monkeypatch.setattr(protocol, "on_sink_distance", watch)
         out, digest = trace_digest(loads_network(ROLL_BACK_NET), 2, 1, 160, "uniform:1:10", 20)
         assert rolled_back == [(3, 1, 3)]
-        assert (out.delivered, out.global_relabels, out.messages_sent) == (147, 2, 106)
-        assert digest == "a3824f0fd9ad396379c83cf9cc612e95a31b8714b0c6c3936fe902ddba5e77fc"
+        assert (out.delivered, out.global_relabels, out.messages_sent) == (147, 2, 103)
+        assert digest == "e6c9c8e9a2230bf9e7f291252e984cb8d5e4d3c07b9ed058e472a0380fdf5eaa"
 
     def test_step_reproduces_run_on_the_roll_back_payment(self):
         # step() returns mid-tick with activations still queued in the
@@ -604,7 +635,7 @@ class TestPinnedPipeline:
             "--latency", "uniform:1:3", "--format", "json", "--out", str(out),
         ]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "2872703e31d8a45fe6b7660238df5d5bdb0bace9a329684725927df49b3cfcd4"
+        assert digest == "6c1ae8b4c73bb72f3379d3511ce1246f3550e844e2036fe5383f8acf7da41277"
 
 
 class TestGraphUntouched:
