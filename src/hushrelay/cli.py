@@ -19,12 +19,10 @@ from .bench import run_bench
 from .decompose import decompose
 from .graph import PcnError
 from .netfile import ParseError, load_network, load_workload, save_network
-from .protocol import SameSourceSink, ZeroValue
 from .report import reconstruct, run_report
 from .sim import EventBudgetExhausted, LatencyModel, SimConfig, Simulator
 from .topology import (
     BAConfig,
-    InvalidConfig,
     WorkloadConfig,
     generate_ba,
     generate_workload,
@@ -274,7 +272,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, InvalidConfig, ZeroValue, SameSourceSink, ValueError) as exc:
+    # InvalidConfig, ZeroValue, SameSourceSink and NodeOutOfRange are ValueErrors
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:

@@ -16,7 +16,9 @@ Key rules:
     sender may still reach r, and the receiver must stay cut off from it;
   - at most one push is in flight per directed edge, and a node never
     relabels while it has any push in flight (so a request always carries
-    the sender's current label);
+    the sender's current label); a sender's request ids only increase, so
+    a request whose id does not exceed the last one from its sender is a
+    replay, and is fatal;
   - labels and label caches only ever increase (stale updates are
     discarded); caches are fed by Accept/Nak payloads and LabelUpdate,
     SinkDistance and CutOff broadcasts;
@@ -78,6 +80,10 @@ class UnknownNeighbor(ProtocolError):
 
 
 class UnknownRequestId(ProtocolError):
+    pass
+
+
+class ReplayedRequest(ProtocolError):
     pass
 
 
@@ -149,6 +155,8 @@ class NodeState:
     neighbor_labels: dict[NodeId, int] = field(default_factory=dict)
     # neighbor -> (request id, amount) of the one push in flight to it
     pending: dict[NodeId, tuple[int, Funds]] = field(default_factory=dict)
+    # neighbor -> id of the last push request received from it
+    last_request: dict[NodeId, int] = field(default_factory=dict)
     # sorted real channel neighbors; virtual peer excluded from broadcasts
     channel_neighbors: list[NodeId] = field(default_factory=list)
     next_request: int = 0
@@ -408,7 +416,9 @@ def on_push_request(v: NodeState, m: PushRequest) -> Sequence[Outbound]:
     """Accept the push iff our label is below the sender's; otherwise Nak.
 
     Acceptance applies the inflow to the local ledger.  Either reply carries
-    our current label so the sender can repair its cache.  A node the
+    our current label so the sender can repair its cache.  A request whose
+    id is not above the last one from its sender (a duplicate, or a replay
+    of an older one) is fatal, and leaves the ledger untouched.  A node the
     current epoch's wave did not reach refuses pushes from the neighbors it
     heard that wave from (`refuse_from`) while their label is at most n:
     accepting would give it residual capacity toward a node that can still
@@ -421,6 +431,11 @@ def on_push_request(v: NodeState, m: PushRequest) -> Sequence[Outbound]:
     current = flow.get(sender)
     if current is None:
         raise UnknownNeighbor(f"node {v.id} got a push from non-neighbor {sender}")
+    rid = m.request_id
+    last = v.last_request.get(sender, -1)
+    if rid <= last:
+        raise ReplayedRequest(f"node {v.id} got push {rid} from {sender} after push {last}")
+    v.last_request[sender] = rid
     amount = m.amount
     if amount <= 0:
         raise ProtocolError(f"push of non-positive amount {amount}")
@@ -431,8 +446,8 @@ def on_push_request(v: NodeState, m: PushRequest) -> Sequence[Outbound]:
     elif label < m.sender_label:
         flow[sender] = current - amount
         v.excess += amount
-        return ((sender, Accept(v.id, m.request_id, amount, label)),)
-    return ((sender, Nak(v.id, m.request_id, amount, label)),)
+        return ((sender, Accept(v.id, rid, amount, label)),)
+    return ((sender, Nak(v.id, rid, amount, label)),)
 
 
 def on_reply(v: NodeState, m: Accept | Nak) -> Sequence[Outbound]:

@@ -13,12 +13,15 @@ source's activation is queued at tick 0.
 
 Global relabeling follows the global-update frequency rule of Cherkassky
 and Goldberg's hi_pr: a relabel of node v counts RELABEL_WORK + deg(v) work.
-Once the work since the last epoch began reaches 2(6n + m), m the channel
-count, and only once both waves of that epoch are gone, the sink starts the
-next epoch's SinkDistance wave.  The dispatcher counts the wave messages in
-flight, so it sees for free when a wave dies out (a deployment would pay one
-echo per wave message).  When an epoch's SinkDistance wave dies out, the
-source starts that epoch's CutOff wave.
+The count runs from the later of the start of the last epoch and the last
+relabel at which the virtual sink's absorbed amount had grown since the
+relabel before: a payment whose sink keeps gaining makes progress and pays
+for no wave.  Once the count reaches 6n + m, m the channel count (half
+hi_pr's 2(6n + m)), and only once both waves of the last epoch are gone,
+the sink starts the next epoch's SinkDistance wave.  The dispatcher counts
+the wave messages in flight, so it sees for free when a wave dies out (a
+deployment would pay one echo per wave message).  When an epoch's
+SinkDistance wave dies out, the source starts that epoch's CutOff wave.
 
 The dispatcher is single-threaded; handlers only touch the addressed node,
 so a sharded dispatcher preserving per-node serial execution and per-edge
@@ -164,9 +167,13 @@ class Simulator:
         self._work = 0  # RELABEL_WORK + deg(v) per relabel of v; drives the epochs
         # epoch 1 runs on the topology labels, with no wave
         self.epoch = 1
-        # relabel work between two epochs: 2(6n + m), hi_pr's default frequency
-        self._epoch_work = 2 * (6 * g.n + g.channel_count)
+        # relabel work from the later of the last epoch's start and the last
+        # relabel after a sink gain to the next epoch: 6n + m, half hi_pr's
+        # 2(6n + m), since work while r gains does not count
+        self._epoch_work = 6 * g.n + g.channel_count
         self._epoch_due = self._epoch_work
+        # what the virtual sink had absorbed at the last relabel
+        self._absorbed = 0
         # _waves: wave messages in flight
         self.messages_sent = self._waves = 0
         # s is active from the start: its activation is the first event
@@ -217,8 +224,8 @@ class Simulator:
         The one and only dispatch loop, which run() drives; once a run has
         started it is the only code that sends a message.
         Local bindings matter here: this loop runs once per event, and a
-        `drain` payment sends about 1.0k messages, the desk-scale workload's
-        infeasible payments about 8.8k at the median.  Events run from the
+        `drain` payment sends about 0.8k messages, the desk-scale workload's
+        infeasible payments about 4.9k at the median.  Events run from the
         current tick's slot in FIFO order.  When it is empty, the next
         non-empty slot within the ring is the next tick with an event; when
         every slot is empty, nothing is left to run.  Time advances only
@@ -248,6 +255,8 @@ class Simulator:
         waves = self._waves
         relabels = self.relabels
         work = self._work
+        absorber = states[self._rp]
+        absorbed = self._absorbed
         done = 0
         delivered = 0
         now = self.simulated_time
@@ -279,7 +288,11 @@ class Simulator:
                         slot.append((to, None))
                     relabels += 1
                     work += RELABEL_WORK + len(st.channel_neighbors)
-                    if not waves and work >= self._epoch_due:
+                    if absorber.excess > absorbed:
+                        # r gained since the last relabel: the count restarts here
+                        absorbed = absorber.excess
+                        self._epoch_due = work + self._epoch_work
+                    elif not waves and work >= self._epoch_due:
                         # the new epoch's wave goes out before this activation's messages
                         wave = self._start_epoch(work)
                         waves = len(wave)
@@ -327,6 +340,7 @@ class Simulator:
         self._waves = waves
         self.relabels = relabels
         self._work = work
+        self._absorbed = absorbed
         self.events_dispatched += done
         self.messages_sent = sent
         self.messages_delivered += delivered

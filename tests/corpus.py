@@ -21,8 +21,8 @@ generator seeded by the instance's sim_seed, does not give back the flow;
 neither check feeds the digest.  It is an error when routing, decomposing
 or the report raises.  The output counts instances, wrong ones, errors and
 runs with a later epoch, totals the messages of the instances whose value
-exceeds max-flow, and gives one sha256 over every instance's trace and
-outcome.
+is at most max-flow and, apart, of those whose value exceeds it, and gives
+one sha256 over every instance's trace and outcome.
 """
 
 from __future__ import annotations
@@ -117,6 +117,7 @@ class Tally:
     wrong: int = 0
     errors: int = 0
     later_epochs: int = 0
+    feasible_messages: int = 0  # summed over instances whose value is at most max-flow
     infeasible_messages: int = 0  # summed over instances whose value exceeds max-flow
     scipy_checked: bool = False
     failures: list[str] = field(default_factory=list)
@@ -156,6 +157,8 @@ def run_corpus(seed: int, count: int) -> Tally:
         tally.later_epochs += out.global_relabels > 0
         if inst.value > inst.max_flow:
             tally.infeasible_messages += out.messages_sent
+        else:
+            tally.feasible_messages += out.messages_sent
         digest.update(trace.encode())
         digest.update(
             repr((
@@ -178,7 +181,8 @@ def main(argv: list[str] | None = None) -> int:
         print(line)
     print(
         f"instances {tally.instances}  wrong {tally.wrong}  errors {tally.errors}  "
-        f"later_epochs {tally.later_epochs}  infeasible_messages {tally.infeasible_messages}  "
+        f"later_epochs {tally.later_epochs}  feasible_messages {tally.feasible_messages}  "
+        f"infeasible_messages {tally.infeasible_messages}  "
         f"scipy {'on' if tally.scipy_checked else 'off'}"
     )
     print(f"digest {tally.digest}")

@@ -11,6 +11,7 @@ from hushrelay.protocol import (
     NodeStates,
     ProtocolError,
     PushRequest,
+    ReplayedRequest,
     SameSourceSink,
     SinkDistance,
     UnknownNeighbor,
@@ -263,6 +264,19 @@ class TestOnPushRequest:
         states = zero_labeled(example_graph, S, R, 15)
         with pytest.raises(ProtocolError, match="push of non-positive amount 0"):
             on_push_request(states[C], PushRequest(B, 2, 0, 1))
+
+    @pytest.mark.parametrize("replayed", [4, 3], ids=["repeated", "earlier"])
+    def test_replayed_request_is_fatal_and_changes_nothing(self, example_graph, replayed):
+        states = zero_labeled(example_graph, S, R, 15)
+        st = states[R]
+        on_push_request(st, PushRequest(C, 4, 10, 1))
+        before = (st.excess, dict(st.edge_flow))
+        with pytest.raises(ReplayedRequest, match=f"node 4 got push {replayed} from 3 after push 4"):
+            on_push_request(st, PushRequest(C, replayed, 10, 1))
+        assert (st.excess, st.edge_flow) == before
+        # the next request from C is applied
+        on_push_request(st, PushRequest(C, 5, 1, 1))
+        assert st.excess == 11
 
 
 class TestOnReply:

@@ -6,9 +6,10 @@ import pytest
 from hushrelay import cli, protocol
 from hushrelay.graph import ChannelGraph
 from hushrelay.netfile import dumps_network, loads_network
-from hushrelay.protocol import Nak, NodeOutOfRange, NodeStates, ProtocolError
+from hushrelay.protocol import Nak, NodeOutOfRange, NodeStates, ProtocolError, ReplayedRequest
 from hushrelay.sim import (
     MAX_DELAY,
+    RELABEL_WORK,
     EventBudgetExhausted,
     LatencyModel,
     SimConfig,
@@ -131,6 +132,24 @@ class TestRun:
         with pytest.raises(NodeOutOfRange, match=f"node {bad} out of range 0..4"):
             Simulator(example_graph, s, r, 15, SimConfig(seed=0))
 
+    def test_duplicated_push_request_fails_the_run(self, example_graph, monkeypatch):
+        # S's first push, of 10 to A, is delivered twice: A applies the first
+        # copy and refuses the second before its ledger changes
+        handler = protocol.on_activate
+
+        def duplicate_first_push(v):
+            out = list(handler(v))
+            if v.id == S and v.next_request == 2:
+                out.insert(1, out[0])
+            return out
+
+        monkeypatch.setattr(protocol, "on_activate", duplicate_first_push)
+        sim = Simulator(example_graph, S, R, 15, SimConfig(seed=0))
+        with pytest.raises(ReplayedRequest, match="node 1 got push 0 from 0 after push 0"):
+            sim.run()
+        a = sim.states[A]
+        assert (a.excess, a.edge_flow[S]) == (10, -10)
+
     def test_simulated_time_is_last_delivery(self, example_graph):
         out = Simulator(example_graph, S, R, 15, SimConfig(seed=0)).run()
         # hand-checked constant-latency schedule: S starts at its hop
@@ -206,7 +225,7 @@ class TestInvariantOracle:
         g = bridged_graph(30, 8, 1)
         sim = Simulator(g, 34, 29, 30, SimConfig(seed=0))
         with invariants_checked(g.n):
-            with pytest.raises(ProtocolError, match="lifted node 32 pushed to 31, which had sent it no flow"):
+            with pytest.raises(ProtocolError, match="lifted node 31 pushed to 30, which had sent it no flow"):
                 sim.run()
         # the same run, unbroken, passes the oracle
         monkeypatch.undo()
@@ -269,6 +288,43 @@ class TestDeterminism:
             for s in range(20)
         }
         assert delivered == {20}
+
+
+def stalled_graph() -> ChannelGraph:
+    """x - s - y - r on nodes 0-3, with z (4) beyond y: s has no capacity toward y."""
+    x, s, y, r, z = range(5)
+    g = ChannelGraph(5)
+    g.open_channel(s, x, 10, 0)
+    g.open_channel(s, y, 0, 5)
+    g.open_channel(y, r, 5, 5)
+    g.open_channel(y, z, 1, 1)
+    return g
+
+
+def stepped_relabels(sim: Simulator, monkeypatch):
+    """Step sim to the end: each relabel's work, r's absorbed amount just after it, and each later epoch's start.
+
+    An epoch's start is the count of relabels done when its wave went out,
+    and whether that step relabeled (else the last wave of the epoch before
+    died there).
+    """
+    costs, absorbed, starts = [], [], []
+    handler = protocol.relabel
+
+    def watch(v):
+        costs.append(RELABEL_WORK + len(v.channel_neighbors))
+        return handler(v)
+
+    monkeypatch.setattr(protocol, "relabel", watch)
+    sink = sim.states[sim.graph.n + 1]
+    while True:
+        epoch, relabels = sim.epoch, len(costs)
+        if not step(sim):
+            return costs, absorbed, starts
+        if len(costs) != relabels:
+            absorbed.append(sink.excess)
+        if sim.epoch != epoch:
+            starts.append((len(costs), len(costs) != relabels))
 
 
 def bridged_graph(n_far: int, n_near: int, seed: int) -> ChannelGraph:
@@ -379,31 +435,31 @@ class TestLazyStates:
 
     def test_label_update_to_unbuilt_node_builds_no_state(self):
         # x - s - y - r, and z beyond y: s has no capacity toward y, so its
-        # excess climbs against x and drains back.  y hears s relabel twice
-        # before the epoch-2 wave reaches it and builds its state: the
-        # fifth relabel (s, x, s, x, s) brings the work to 3 * 14 + 2 * 13,
-        # 2(6n + m) = 68, and starts that wave
+        # excess climbs against x and drains back.  y hears s relabel once
+        # before the epoch-2 wave reaches it and builds its state: r never
+        # gains, and the third relabel (s, x, s) brings the work to
+        # 2 * 14 + 13 = 41, past 6n + m = 34, and starts that wave
         x, s, y, r, z = range(5)
-        g = ChannelGraph(5)
-        g.open_channel(s, x, 10, 0)
-        g.open_channel(s, y, 0, 5)
-        g.open_channel(y, r, 5, 5)
-        g.open_channel(y, z, 1, 1)
+        g = stalled_graph()
         buf = io.StringIO()
         sim = Simulator(g, s, r, 5, SimConfig(seed=0), trace=buf)
         while y not in sim.states:
             before = sorted(sim.states), {v: dict(h) for v, h in sim.states.heard.items()}
             assert step(sim)
-        assert before == ([x, s, r, 5, 6], {y: {s: 6}})
+        assert before == ([x, s, r, 5, 6], {y: {s: 4}})
         # built by the wave, y caches the highest label it heard
-        assert sim.states[y].neighbor_labels == {s: 6, r: 0, z: 2}
+        assert sim.states[y].neighbor_labels == {s: 4, r: 0, z: 2}
         assert sim.states.heard == {}
         out = sim.run()
-        assert (out.delivered, out.returned, out.global_relabels) == (0, 5, 1)
+        assert (out.delivered, out.returned, out.global_relabels) == (0, 5, 2)
         # x, y, and z, which y's wave message built
         assert out.informed_relays == 3
         to_y = [f[1] for f in map(str.split, buf.getvalue().splitlines()) if int(f[3]) == y]
-        assert to_y == ["label_update", "label_update", "sink_distance", "label_update", "sink_distance"]
+        # each of the two waves reaches y from r and again from z
+        assert to_y == [
+            "label_update", "sink_distance", "label_update", "sink_distance",
+            "label_update", "sink_distance", "sink_distance",
+        ]
         assert sorted(sim.states) == [x, s, y, r, z, 5, 6]
         # s's last relabel took it to 8, past the feeder's n+2
         assert sim.states[s].label == 8
@@ -424,8 +480,10 @@ class TestLazyStates:
 
     @pytest.mark.parametrize("graph, s, r, val, latency, expected", [
         ("example", S, R, 15, "const:1", 3),
-        # above max-flow: the later epoch's waves reach every relay
-        ("drain", 22, 20, 189, "uniform:1:10", 98),
+        # above max-flow: the later epoch's waves and the relabels reach all
+        # relays but node 36, none of whose three neighbors took the
+        # SinkDistance wave or relabeled
+        ("drain", 22, 20, 189, "uniform:1:10", 97),
     ])
     def test_informed_relays_are_the_distinct_receivers(
         self, example_graph, drain_graph, graph, s, r, val, latency, expected
@@ -459,31 +517,42 @@ class TestGlobalRelabeling:
         assert out.global_relabels >= 1
         assert out.messages_sent < 10_000
 
-    def test_epoch_starts_after_fixed_relabel_work(self, drain_graph, monkeypatch):
-        # Cherkassky & Goldberg's global-update frequency: each relabel of v
-        # is 12 + deg(v) work, and epoch 2's wave starts at the relabel that
-        # brings the work to 2(6n + m), not at relabel 2n
-        sim = Simulator(drain_graph, 53, 93, 143, SimConfig(seed=0))
-        relabeled = []  # (degree, epoch when the relabel began)
-        handler = protocol.relabel
-
-        def watch(v):
-            relabeled.append((len(v.channel_neighbors), sim.epoch))
-            return handler(v)
-
-        monkeypatch.setattr(protocol, "relabel", watch)
+    def test_epoch_after_6n_plus_m_work_without_a_sink_gain(self, monkeypatch):
+        # Cherkassky & Goldberg's global-update frequency, at half hi_pr's
+        # 2(6n + m): each relabel of v is 12 + deg(v) work, and with no sink
+        # gain the next epoch is due at the relabel that brings the work
+        # since the last epoch began to 6n + m = 34.  r never gains here: s
+        # relabels at 14 and x at 13, so epoch 2 starts at the third relabel
+        # (41).  Epoch 3 is due at the sixth (40 since the third), while
+        # epoch 2's cut-off wave is still out, and starts when it dies
+        g = stalled_graph()
+        sim = Simulator(g, 1, 3, 5, SimConfig(seed=0))
+        costs, absorbed, starts = stepped_relabels(sim, monkeypatch)
+        assert set(absorbed) == {0}
+        assert costs == [14, 13] * 3 and starts == [(3, True), (6, False)]
+        begun = 0
+        for k, _ in starts:
+            assert sum(costs[begun:k - 1]) < 6 * g.n + g.channel_count <= sum(costs[begun:k])
+            begun = k
         out = sim.run()
-        assert out.global_relabels == 1
-        n, m = drain_graph.n, drain_graph.channel_count
-        work = 0
-        for count, (degree, _) in enumerate(relabeled, 1):
-            work += 12 + degree
-            if work >= 2 * (6 * n + m):
-                break
-        # the relabel after that one is the first to run in epoch 2
-        assert [epoch for _, epoch in relabeled[count - 1:count + 1]] == [1, 2]
-        assert count != 2 * n
-        assert out.relabels == len(relabeled)
+        assert (out.delivered, out.global_relabels, out.relabels) == (0, 2, len(costs))
+
+    def test_sink_gain_restarts_the_epoch_count(self, drain_graph, monkeypatch):
+        # 143 from 53 to 93, max-flow 104: r's absorbed amount grows at the
+        # 3rd, 8th and 9th relabels, each of which restarts the count, so
+        # epoch 2's wave starts once the work since the 9th reaches 6n + m,
+        # long after the work since the run began did
+        sim = Simulator(drain_graph, 53, 93, 143, SimConfig(seed=0))
+        costs, absorbed, starts = stepped_relabels(sim, monkeypatch)
+        gains = [k for k, (was, now) in enumerate(zip([0] + absorbed, absorbed), 1) if now > was]
+        assert gains == [3, 8, 9] and absorbed[8] == 104
+        [(k, relabeled)] = starts
+        assert relabeled
+        due = 6 * drain_graph.n + drain_graph.channel_count
+        assert sum(costs[9:k - 1]) < due <= sum(costs[9:k])
+        assert sum(costs[:k - 1]) >= due
+        out = sim.run()
+        assert (out.delivered, out.global_relabels, out.relabels) == (104, 1, len(costs))
 
     def test_worked_example_needs_no_epoch(self, example_graph):
         assert Simulator(example_graph, S, R, 15, SimConfig(seed=0)).run().global_relabels == 0
@@ -519,8 +588,9 @@ class TestGlobalRelabeling:
         # which the wave reached, after node 29 had taken a cut-off level
         # over its residual channel to 30; the source returned 3 units that
         # could still have been delivered.  Routing 28 from 34 to 28 runs two
-        # later epochs, and node 25, which the epoch-2 wave missed, refuses 2
-        # pushes from node 30, which it reached.
+        # later epochs: node 25, which the epoch-2 wave missed, refuses 2
+        # pushes from node 30, which it reached, and node 36, which the
+        # epoch-3 wave missed, refuses 2 from node 17.
         refused = []
         handler = protocol.on_push_request
 
@@ -534,7 +604,7 @@ class TestGlobalRelabeling:
         g = loads_network(CUT_OFF_RACE_NET)
         out = Simulator(g, 34, 28, 28, SimConfig(seed=0)).run()
         assert out.global_relabels == 2
-        assert sorted(set(refused)) == [(25, 30)] and len(refused) == 2
+        assert sorted(set(refused)) == [(25, 30), (36, 17)] and len(refused) == 4
         assert out.delivered == 4 and out.returned == 24
 
 
@@ -571,21 +641,21 @@ class TestPinnedSchedule:
 
     def test_drain_payment_with_an_epoch(self, drain_graph):
         out, digest = trace_digest(drain_graph, 53, 93, 143, "uniform:1:3", 0)
-        assert (out.global_relabels, out.messages_sent) == (1, 899)
-        assert digest == "273b61b0ade578b48fcc62636d03f62b3f07bd5e238fa1ab5851c58430059e27"
+        assert (out.global_relabels, out.messages_sent) == (1, 593)
+        assert digest == "2a326b9c36c4f632134b08499f907566b24cd6ea3f63496a915b3339030d2bc2"
 
     def test_drain_payment_under_wide_jitter(self, drain_graph):
-        # delays of 5 to 60 ticks over 5960 ticks: the event ring of 61
-        # slots wraps around over 90 times, and some ticks carry no event
+        # delays of 5 to 60 ticks over 3713 ticks: the event ring of 61
+        # slots wraps around 60 times, and some ticks carry no event
         out, digest = trace_digest(drain_graph, 53, 93, 143, "uniform:5:60", 0)
-        assert (out.global_relabels, out.messages_sent, out.simulated_time) == (1, 916, 5960)
-        assert digest == "4975793e17eda47924e168e7d68eaaedb4fc88aac03937f8a53d3155eff18f67"
+        assert (out.global_relabels, out.messages_sent, out.simulated_time) == (1, 613, 3713)
+        assert digest == "0546e0e6c694ed554702469378e6a5bdadb866aefd117e4aa8cc1c518e3bdcaa"
 
     @pytest.mark.parametrize("latency, messages, ticks, digest", [
         # a span of 8, a power of two: a draw takes 4 bits and redraws 8-15
-        ("uniform:1:8", 911, 801, "800025a4d87b193cbe26295bf4f9c586f98483ad82dc07d53eec48dc88dcd440"),
+        ("uniform:1:8", 607, 503, "18b3eb567b3344874f381fcebd6afe8beba831115a7467324ffe5d6fe97d9d9b"),
         # a span of 2: a draw takes 2 bits and redraws 2 and 3
-        ("uniform:1:2", 914, 265, "d9bdd4f7129b1fca886e6b019dac8e2f30469e52532620a65ae61853a5554fe3"),
+        ("uniform:1:2", 645, 166, "f38f30f1d6cf0b3936f6fdee78c4d7a4d7c3947c6bdb0fa44c1c340d6607ab9e"),
     ], ids=["uniform:1:8", "uniform:1:2"])
     def test_drain_payment_under_narrow_jitter(self, drain_graph, latency, messages, ticks, digest):
         out, got = trace_digest(drain_graph, 53, 93, 143, latency, 0)
@@ -593,9 +663,9 @@ class TestPinnedSchedule:
         assert got == digest
 
     def test_payment_that_rolls_back_an_in_flight_push(self, monkeypatch):
-        # 160 units from 2 to 1 on four nodes, max-flow 147: two later epochs
-        # and 103 messages.  Node 3 hears the epoch-3 wave from node 1 while
-        # its push in flight saturates the channel to 1, so only the
+        # 160 units from 2 to 1 on four nodes, max-flow 147: three later
+        # epochs and 122 messages.  Node 3 hears the epoch-3 wave from node
+        # 1 while its push in flight saturates the channel to 1, so only the
         # roll-back rule finds that residual edge.
         rolled_back = []
         handler = protocol.on_sink_distance
@@ -606,17 +676,17 @@ class TestPinnedSchedule:
             return handler(v, m)
 
         monkeypatch.setattr(protocol, "on_sink_distance", watch)
-        out, digest = trace_digest(loads_network(ROLL_BACK_NET), 2, 1, 160, "uniform:1:10", 20)
+        out, digest = trace_digest(loads_network(ROLL_BACK_NET), 2, 1, 160, "uniform:1:10", 58)
         assert rolled_back == [(3, 1, 3)]
-        assert (out.delivered, out.global_relabels, out.messages_sent) == (147, 2, 103)
-        assert digest == "e6c9c8e9a2230bf9e7f291252e984cb8d5e4d3c07b9ed058e472a0380fdf5eaa"
+        assert (out.delivered, out.global_relabels, out.messages_sent) == (147, 3, 122)
+        assert digest == "a8fc8895486387b7748e675a9ed8eda6a9628469eae5fa398af55cd020ef8199"
 
     def test_step_reproduces_run_on_the_roll_back_payment(self):
         # step() returns mid-tick with activations still queued in the
         # tick's slot, and must resume them in the order run() gives
         g = loads_network(ROLL_BACK_NET)
-        ran = trace_digest(g, 2, 1, 160, "uniform:1:10", 20)
-        assert trace_digest(g, 2, 1, 160, "uniform:1:10", 20, stepped=True) == ran
+        ran = trace_digest(g, 2, 1, 160, "uniform:1:10", 58)
+        assert trace_digest(g, 2, 1, 160, "uniform:1:10", 58, stepped=True) == ran
 
 
 class TestPinnedPipeline:
@@ -635,7 +705,7 @@ class TestPinnedPipeline:
             "--latency", "uniform:1:3", "--format", "json", "--out", str(out),
         ]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "6c1ae8b4c73bb72f3379d3511ce1246f3550e844e2036fe5383f8acf7da41277"
+        assert digest == "0f2327fde59452258118ae023891db1b7c9ec4027077e417ca6abfa033d37484"
 
 
 class TestGraphUntouched:
