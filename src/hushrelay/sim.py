@@ -18,10 +18,15 @@ relabel at which the virtual sink's absorbed amount had grown since the
 relabel before: a payment whose sink keeps gaining makes progress and pays
 for no wave.  Once the count reaches 6n + m, m the channel count (half
 hi_pr's 2(6n + m)), and only once both waves of the last epoch are gone,
-the sink starts the next epoch's SinkDistance wave.  The dispatcher counts
-the wave messages in flight, so it sees for free when a wave dies out (a
-deployment would pay one echo per wave message).  When an epoch's
-SinkDistance wave dies out, the source starts that epoch's CutOff wave.
+the sink starts the next epoch's SinkDistance wave.  The sink also sees one
+cut for itself: when val is above its inbound capacity and an Accept
+saturates the last channel into it, delivery is final, and the next epoch
+is due at that event, whatever the work count; no later sink gain defers
+it.  Such an epoch has no SinkDistance wave, as no node can reach the sink.
+The dispatcher counts the wave messages in flight, so it sees for free when
+a wave dies out (a deployment would pay one echo per wave message).  When
+an epoch's SinkDistance wave dies out, the source starts that epoch's
+CutOff wave.
 
 The dispatcher is single-threaded; handlers only touch the addressed node,
 so a sharded dispatcher preserving per-node serial execution and per-edge
@@ -174,6 +179,8 @@ class Simulator:
         self._epoch_due = self._epoch_work
         # what the virtual sink had absorbed at the last relabel
         self._absorbed = 0
+        # r's inbound capacity, the sum of c(w, r) over its channels
+        self._in_cap = sum(g.cap[w][r] for w in g.cap[r])
         # _waves: wave messages in flight
         self.messages_sent = self._waves = 0
         # s is active from the start: its activation is the first event
@@ -182,16 +189,36 @@ class Simulator:
 
     # -- global relabeling -------------------------------------------------
 
+    def _delivery_final(self) -> bool:
+        """r holds all it can ever receive, and that is less than val.
+
+        r's net inflow over its channels is what it holds plus what it has
+        passed to the virtual sink.  No channel carries more than its
+        capacity, so that sum reaches in-cap(r) only when every channel into
+        r is saturated.  Then no push can reach r again, because r never
+        pushes back: its label never passes 1, one above the virtual
+        sink's and no higher than any real node's, and the virtual sink
+        always has room below val.
+        """
+        sink = self.states[self.sink]
+        return sink.excess + sink.edge_flow[self._rp] == self._in_cap < self.value
+
     def _start_epoch(self, work: int) -> list[Outbound]:
-        """r starts the next epoch's SinkDistance wave; returns the wave's messages.
+        """r starts the next epoch; returns the messages of its first wave.
 
         `work` is the relabel work of the whole run so far; the epoch after
-        this one is due once _epoch_work more is done.
+        this one is due once _epoch_work more is done.  Once delivery is
+        final no node can reach r, so r sends no wave and the epoch goes
+        straight to its CutOff wave.  (Sent, the wave would reach a node
+        whose push to r is still unanswered: counting that push as rolled
+        back, the node would take the wave and pass it on.)
         """
         self.epoch += 1
         self._epoch_due = work + self._epoch_work
         sink = self.states[self.sink]
         sink.reached = self.epoch
+        if self._delivery_final():
+            return self._wave_died(SinkDistance, work)
         wave = SinkDistance(self.sink, 0, self.epoch)
         return [(w, wave) for w in sink.channel_neighbors] or self._wave_died(SinkDistance, work)
 
@@ -199,7 +226,7 @@ class Simulator:
         """The last message of the running wave, of message type `kind`, spawned none.
 
         Returns the next wave's messages: the epoch's CutOff wave after its
-        SinkDistance wave, or the next epoch's SinkDistance wave once due.
+        SinkDistance wave, or the next epoch's first wave once due.
         """
         if kind is SinkDistance:
             # s starts the CutOff wave as if the feeder sent it
@@ -224,13 +251,13 @@ class Simulator:
         The one and only dispatch loop, which run() drives; once a run has
         started it is the only code that sends a message.
         Local bindings matter here: this loop runs once per event, and a
-        `drain` payment sends about 0.8k messages, the desk-scale workload's
-        infeasible payments about 4.9k at the median.  Events run from the
-        current tick's slot in FIFO order.  When it is empty, the next
-        non-empty slot within the ring is the next tick with an event; when
-        every slot is empty, nothing is left to run.  Time advances only
-        there, and is recorded at once so that _wave_died wakes the source
-        in the current slot.
+        `drain` payment sends about 0.4k messages, the desk-scale workload's
+        feasible payments 40 and its infeasible ones about 0.3k at the
+        median.  Events run from the current tick's slot in FIFO order.
+        When it is empty, the next non-empty slot within the ring is the
+        next tick with an event; when every slot is empty, nothing is left
+        to run.  Time advances only there, and is recorded at once so that
+        _wave_died wakes the source in the current slot.
         """
         slots = self._slots
         size = len(slots)
@@ -255,6 +282,7 @@ class Simulator:
         waves = self._waves
         relabels = self.relabels
         work = self._work
+        sink = states[self.sink]
         absorber = states[self._rp]
         absorbed = self._absorbed
         done = 0
@@ -322,6 +350,16 @@ class Simulator:
                             waves = len(out)
                     elif kind is PushRequest:
                         out = on_push_request(st, msg)
+                        if st is sink and self._delivery_final():
+                            # an Accept saturated the last channel into r (no
+                            # push reaches r after it): the next epoch is due
+                            # now, and no later sink gain defers it
+                            absorbed = self._in_cap
+                            self._epoch_due = work
+                            if not waves:
+                                wave = self._start_epoch(work)
+                                waves = len(wave)
+                                out = [*wave, *out]
                     else:
                         on_reply(st, msg)
                         out = ()

@@ -92,7 +92,7 @@ def route(inst: Instance, stepped: bool):
     cfg = SimConfig(seed=inst.sim_seed, latency=LatencyModel.parse(inst.latency))
     buf = io.StringIO()
     sim = Simulator(inst.graph, inst.s, inst.r, inst.value, cfg, trace=buf)
-    with invariants_checked(inst.graph.n):
+    with invariants_checked(inst.graph):
         while stepped and step(sim):
             pass
         return sim.run(), buf.getvalue()

@@ -194,6 +194,28 @@ def check_lifted_pushes(v: NodeState, out, inflow: set[NodeId]) -> None:
             raise ProtocolError(f"lifted node {v.id} pushed to {w}, which had sent it no flow")
 
 
+def check_final_delivery(v: NodeState, g: ChannelGraph, finals: dict) -> None:
+    """Once every channel into r is saturated, and they carry less than val, r's ledger on them never changes again.
+
+    That is when the simulator starts the next epoch at once: delivery is
+    final.  Only r has the virtual sink (n+1) as a peer; other nodes pass.
+    `finals` maps id(r's state) to the state and its ledger at the first
+    check that found delivery final.
+    """
+    rp = g.n + 1
+    if rp not in v.edge_flow:
+        return
+    ledger = {w: v.edge_flow[w] for w in v.channel_neighbors}
+    seen = finals.get(id(v))
+    if seen is not None:
+        if seen[1] != ledger:
+            raise ProtocolError(f"sink {v.id}'s ledger moved after delivery was final: {seen[1]} -> {ledger}")
+    elif sum(g.cap[w][v.id] for w in ledger) < v.cap[rp] and all(
+        g.cap[w][v.id] + f == 0 for w, f in ledger.items()
+    ):
+        finals[id(v)] = (v, ledger)
+
+
 HANDLERS = (
     "on_activate",
     "on_push_request",
@@ -205,22 +227,26 @@ HANDLERS = (
 
 
 @contextmanager
-def invariants_checked(n: int) -> Iterator[None]:
-    """Inside the block, every protocol handler checks the node it handled, on a network of n nodes.
+def invariants_checked(g: ChannelGraph) -> Iterator[None]:
+    """Inside the block, every protocol handler checks the node it handled, on the network g.
 
     The six `protocol.on_*` handlers are wrapped on the module, so every
     event of a run started or stepped inside the block is checked: the
     simulator reads its handlers off the module each time it dispatches.
     An activation of a node the cut-off wave lifted, and no later
     SinkDistance wave reached, also checks that it pushed only back along
-    its inflow.
+    its inflow.  Once r's delivery is final, no handler may move r's
+    ledger on its channels (`check_final_delivery`).
     """
+    n = g.n
     saved = {name: getattr(protocol, name) for name in HANDLERS}
+    finals: dict = {}  # holds each final r's state, so its id stays unique
 
     def checked(handler):
         def call(v: NodeState, *args):
             out = handler(v, *args)
             check_node_invariants(v, n)
+            check_final_delivery(v, g, finals)
             return out
 
         return call
@@ -232,6 +258,7 @@ def invariants_checked(n: int) -> Iterator[None]:
                 inflow = {w for w, f in v.edge_flow.items() if f < 0}
             out = handler(v)
             check_node_invariants(v, n)
+            check_final_delivery(v, g, finals)
             if lifted:
                 check_lifted_pushes(v, out, inflow)
             return out

@@ -62,7 +62,7 @@ def corpus():
         if r >= s:
             r += 1
         val = rng.randint(10, 80)
-        with invariants_checked(n):
+        with invariants_checked(g):
             out = Simulator(g, s, r, val, SimConfig(seed=i)).run()
         oracle_max = maxflow_augmenting(g, s, r).max_value
         rows.append(
@@ -73,7 +73,7 @@ def corpus():
 
 def test_criterion_1_golden_replay(example_graph):
     started = time.perf_counter()
-    with invariants_checked(example_graph.n):
+    with invariants_checked(example_graph):
         out = Simulator(example_graph, S, R, 15, SimConfig(seed=0)).run()
     elapsed = time.perf_counter() - started
     assert out.delivered == 15
@@ -160,7 +160,7 @@ def test_criterion_6_message_budget(corpus):
             r += 1
         # everything the source can emit plus more: forces a full drain-back
         val = sum(g.cap[s].values()) + rng.randint(1, 80)
-        with invariants_checked(g.n):
+        with invariants_checked(g):
             out = Simulator(g, s, r, val, SimConfig(seed=i)).run()
         calib.append(out.messages_sent / (12 * 12 * (g.channel_count + 2)))
     c = max(calib)

@@ -101,7 +101,7 @@ def test_infeasible_payments_deliver_max_flow_under_jitter():
         expected = maxflow_augmenting(g, s, r).max_value
         assert scipy_max_flow(g, s, r) == expected
         cfg_sim = SimConfig(seed=pick, latency=LatencyModel(1, 10))
-        with invariants_checked(g.n):
+        with invariants_checked(g):
             out = Simulator(g, s, r, expected + extra, cfg_sim).run()
         assert out.delivered == expected
         assert out.returned == extra
@@ -126,7 +126,7 @@ def test_apply_flow_conserves_escrow_and_inverts(cfg, pick, val):
 def test_routing_matches_oracle_and_keeps_invariants(cfg, pick, val):
     g, s, r, _ = random_instance(cfg, pick, val)
     sim = Simulator(g, s, r, val, SimConfig(seed=pick))
-    with invariants_checked(g.n):
+    with invariants_checked(g):
         out = sim.run()
     expected = min(val, maxflow_augmenting(g, s, r).max_value)
     assert out.delivered == expected

@@ -213,7 +213,7 @@ class TestInvariantOracle:
         broken = past_capacity(protocol.on_activate)
         monkeypatch.setattr(protocol, "on_activate", broken)
         sim = Simulator(example_graph, S, R, 15, SimConfig(seed=0))
-        with invariants_checked(example_graph.n):
+        with invariants_checked(example_graph):
             with pytest.raises(ProtocolError, match=r"flow f\(0,1\)=15 exceeds capacity 10"):
                 sim.run()
         assert protocol.on_activate is broken  # the block restores what it wrapped
@@ -224,17 +224,42 @@ class TestInvariantOracle:
         monkeypatch.setattr(protocol, "on_activate", ignoring_the_lift(protocol.on_activate))
         g = bridged_graph(30, 8, 1)
         sim = Simulator(g, 34, 29, 30, SimConfig(seed=0))
-        with invariants_checked(g.n):
+        with invariants_checked(g):
             with pytest.raises(ProtocolError, match="lifted node 31 pushed to 30, which had sent it no flow"):
                 sim.run()
         # the same run, unbroken, passes the oracle
         monkeypatch.undo()
-        with invariants_checked(g.n):
+        with invariants_checked(g):
             assert Simulator(g, 34, 29, 30, SimConfig(seed=0)).run().delivered == 5
 
-    def test_wraps_every_handler_inside_the_block_only(self):
+    def test_sink_pushing_back_after_final_delivery_fails_the_run(self, drain_graph, monkeypatch):
+        # 143 from 53 to 93: every channel into r is saturated at 104, below
+        # the value; an r that then pushes once back to its first channel
+        # neighbor moves its ledger, and the oracle stops the run there
+        g, r = drain_graph, 93
+        handler = protocol.on_activate
+        first = min(g.cap[r])
+        pushed_back = []
+
+        def pushing_back(v):
+            if v.id == r and not pushed_back and all(g.cap[w][r] + v.edge_flow[w] == 0 for w in g.cap[r]):
+                pushed_back.append(v.excess)
+                v.neighbor_labels[first] = 0
+            return handler(v)
+
+        monkeypatch.setattr(protocol, "on_activate", pushing_back)
+        with invariants_checked(g):
+            with pytest.raises(ProtocolError, match="sink 93's ledger moved after delivery was final"):
+                Simulator(g, 53, r, 143, SimConfig(seed=0)).run()
+        assert pushed_back and pushed_back[0] > 0
+        # the same run, unbroken, passes the oracle
+        monkeypatch.undo()
+        with invariants_checked(g):
+            assert Simulator(g, 53, r, 143, SimConfig(seed=0)).run().delivered == 104
+
+    def test_wraps_every_handler_inside_the_block_only(self, example_graph):
         handlers = {name: getattr(protocol, name) for name in HANDLERS}
-        with invariants_checked(5):
+        with invariants_checked(example_graph):
             assert all(getattr(protocol, name) is not h for name, h in handlers.items())
         assert {name: getattr(protocol, name) for name in HANDLERS} == handlers
 
@@ -480,10 +505,10 @@ class TestLazyStates:
 
     @pytest.mark.parametrize("graph, s, r, val, latency, expected", [
         ("example", S, R, 15, "const:1", 3),
-        # above max-flow: the later epoch's waves and the relabels reach all
-        # relays but node 36, none of whose three neighbors took the
-        # SinkDistance wave or relabeled
-        ("drain", 22, 20, 189, "uniform:1:10", 97),
+        # above max-flow, which is in-cap(20) = 159: epoch 2 starts once
+        # every channel into r is saturated, as a cut-off wave alone, and
+        # the excess drains back before 17 relays get any message
+        ("drain", 22, 20, 189, "uniform:1:10", 81),
     ])
     def test_informed_relays_are_the_distinct_receivers(
         self, example_graph, drain_graph, graph, s, r, val, latency, expected
@@ -538,21 +563,88 @@ class TestGlobalRelabeling:
         assert (out.delivered, out.global_relabels, out.relabels) == (0, 2, len(costs))
 
     def test_sink_gain_restarts_the_epoch_count(self, drain_graph, monkeypatch):
-        # 143 from 53 to 93, max-flow 104: r's absorbed amount grows at the
-        # 3rd, 8th and 9th relabels, each of which restarts the count, so
-        # epoch 2's wave starts once the work since the 9th reaches 6n + m,
-        # long after the work since the run began did
-        sim = Simulator(drain_graph, 53, 93, 143, SimConfig(seed=0))
+        # 92 from 1 to 68, max-flow 87: the cut is not at r, whose channels
+        # in carry 124, so r never sees it.  r's absorbed amount grows at
+        # the 2nd, 7th and 10th relabels, each of which restarts the count,
+        # so epoch 2's wave starts once the work since the 10th reaches
+        # 6n + m, long after the work since the run began did
+        assert sum(drain_graph.cap[w][68] for w in drain_graph.cap[68]) == 124
+        sim = Simulator(drain_graph, 1, 68, 92, SimConfig(seed=0))
         costs, absorbed, starts = stepped_relabels(sim, monkeypatch)
         gains = [k for k, (was, now) in enumerate(zip([0] + absorbed, absorbed), 1) if now > was]
-        assert gains == [3, 8, 9] and absorbed[8] == 104
+        assert gains == [2, 7, 10] and absorbed[9] == 87
         [(k, relabeled)] = starts
         assert relabeled
         due = 6 * drain_graph.n + drain_graph.channel_count
-        assert sum(costs[9:k - 1]) < due <= sum(costs[9:k])
+        assert sum(costs[10:k - 1]) < due <= sum(costs[10:k])
         assert sum(costs[:k - 1]) >= due
         out = sim.run()
-        assert (out.delivered, out.global_relabels, out.relabels) == (104, 1, len(costs))
+        assert (out.delivered, out.global_relabels, out.relabels) == (87, 1, len(costs))
+
+    def test_epoch_starts_at_the_accept_that_saturates_r(self, drain_graph):
+        # 143 from 53 to 93: max-flow 104 is in-cap(93), so the cut is r's
+        # own channels in.  The Accept that saturates the last of them
+        # starts epoch 2 in the same event, long before 6n + m of work, and
+        # with no relabel in between; r sends no SinkDistance wave, as no
+        # node can reach it, so the epoch is its cut-off wave alone
+        g, r = drain_graph, 93
+        into_r = {w: g.cap[w][r] for w in g.cap[r]}
+        assert sum(into_r.values()) == 104
+        buf = io.StringIO()
+        sim = Simulator(g, 53, r, 143, SimConfig(seed=0), trace=buf)
+        sink = sim.states[r]
+
+        def saturated():
+            return all(c + sink.edge_flow[w] == 0 for w, c in into_r.items())
+
+        while sim.epoch == 1:
+            assert not saturated()
+            relabels, delivered = sim.relabels, sim.messages_delivered
+            assert step(sim)
+        assert saturated() and sim.relabels == relabels
+        assert sim.messages_delivered == delivered + 1
+        last = buf.getvalue().splitlines()[-1].split()
+        assert (last[1], int(last[3])) == ("push_request", r)
+        assert sim._work < 6 * g.n + g.channel_count
+        ledger = dict(sink.edge_flow)
+        out = sim.run()
+        assert (out.delivered, out.returned, out.global_relabels) == (104, 39, 1)
+        # delivery was final: r's ledger toward its channels never moved again
+        assert {w: f for w, f in sink.edge_flow.items() if w < g.n} == {
+            w: f for w, f in ledger.items() if w < g.n
+        }
+        kinds = [line.split()[1] for line in buf.getvalue().splitlines()]
+        assert "sink_distance" not in kinds and "cut_off" in kinds
+        assert out.messages_sent == 107
+
+    def test_saturation_during_a_wave_starts_the_next_epoch_when_it_dies(self, drain_graph):
+        # 206 from 4 to 65, max-flow 196 = in-cap(65): the Accept that
+        # saturates r comes while epoch 2's waves are out, so epoch 3 is due
+        # from then and starts when they die.  r passes on what it holds in
+        # between, and a relabel after that sink gain leaves the due point
+        # where it was, 6n + m of work sooner than a restart would put it
+        g = drain_graph
+        sim = Simulator(g, 4, 65, 206, SimConfig(seed=0))
+        absorber = sim.states[g.n + 1]
+        while not sim._delivery_final():
+            assert step(sim)
+        assert (sim.epoch, sim._epoch_due) == (2, sim._work) and sim._waves
+        gained = relabeled_after = False
+        while sim.epoch == 2:
+            absorbed, relabels = absorber.excess, sim.relabels
+            assert step(sim)
+            gained |= absorber.excess > absorbed
+            relabeled_after |= gained and sim.relabels > relabels
+        assert gained and relabeled_after
+        assert sim.relabels == relabels  # the step that started epoch 3 was a wave's last message
+        out = sim.run()
+        assert (out.delivered, out.global_relabels, out.messages_sent) == (196, 2, 1339)
+
+    def test_value_equal_to_in_cap_starts_no_epoch(self, drain_graph):
+        # 104 from 53 to 93 is exactly in-cap(93): the last Accept saturates
+        # r and completes the payment, and no epoch starts
+        out = Simulator(drain_graph, 53, 93, 104, SimConfig(seed=0)).run()
+        assert (out.delivered, out.returned, out.global_relabels, out.messages_sent) == (104, 0, 0, 76)
 
     def test_worked_example_needs_no_epoch(self, example_graph):
         assert Simulator(example_graph, S, R, 15, SimConfig(seed=0)).run().global_relabels == 0
@@ -641,21 +733,21 @@ class TestPinnedSchedule:
 
     def test_drain_payment_with_an_epoch(self, drain_graph):
         out, digest = trace_digest(drain_graph, 53, 93, 143, "uniform:1:3", 0)
-        assert (out.global_relabels, out.messages_sent) == (1, 593)
-        assert digest == "2a326b9c36c4f632134b08499f907566b24cd6ea3f63496a915b3339030d2bc2"
+        assert (out.global_relabels, out.messages_sent) == (1, 116)
+        assert digest == "ed7207b8fd53d69698d56ed1194128ea95695061aa677c8ab434f335cb5db99b"
 
     def test_drain_payment_under_wide_jitter(self, drain_graph):
-        # delays of 5 to 60 ticks over 3713 ticks: the event ring of 61
-        # slots wraps around 60 times, and some ticks carry no event
+        # delays of 5 to 60 ticks over 862 ticks: the event ring of 61
+        # slots wraps around 14 times, and some ticks carry no event
         out, digest = trace_digest(drain_graph, 53, 93, 143, "uniform:5:60", 0)
-        assert (out.global_relabels, out.messages_sent, out.simulated_time) == (1, 613, 3713)
-        assert digest == "0546e0e6c694ed554702469378e6a5bdadb866aefd117e4aa8cc1c518e3bdcaa"
+        assert (out.global_relabels, out.messages_sent, out.simulated_time) == (1, 129, 862)
+        assert digest == "31905518e9d708b73f8fbbcabf0610ec05a94c5b069597adb8cdca61347b8ffe"
 
     @pytest.mark.parametrize("latency, messages, ticks, digest", [
         # a span of 8, a power of two: a draw takes 4 bits and redraws 8-15
-        ("uniform:1:8", 607, 503, "18b3eb567b3344874f381fcebd6afe8beba831115a7467324ffe5d6fe97d9d9b"),
+        ("uniform:1:8", 121, 79, "79d1e0e87d55983408cfc71ff4b08afb6624ab4f08b750d0c6da65810851a3f8"),
         # a span of 2: a draw takes 2 bits and redraws 2 and 3
-        ("uniform:1:2", 645, 166, "f38f30f1d6cf0b3936f6fdee78c4d7a4d7c3947c6bdb0fa44c1c340d6607ab9e"),
+        ("uniform:1:2", 107, 27, "ca06e7d20ff36aa2825028dec487b204d3e732b88689bf2dd28f3aa1014f6481"),
     ], ids=["uniform:1:8", "uniform:1:2"])
     def test_drain_payment_under_narrow_jitter(self, drain_graph, latency, messages, ticks, digest):
         out, got = trace_digest(drain_graph, 53, 93, 143, latency, 0)
@@ -664,7 +756,7 @@ class TestPinnedSchedule:
 
     def test_payment_that_rolls_back_an_in_flight_push(self, monkeypatch):
         # 160 units from 2 to 1 on four nodes, max-flow 147: three later
-        # epochs and 122 messages.  Node 3 hears the epoch-3 wave from node
+        # epochs and 119 messages.  Node 3 hears the epoch-3 wave from node
         # 1 while its push in flight saturates the channel to 1, so only the
         # roll-back rule finds that residual edge.
         rolled_back = []
@@ -678,8 +770,8 @@ class TestPinnedSchedule:
         monkeypatch.setattr(protocol, "on_sink_distance", watch)
         out, digest = trace_digest(loads_network(ROLL_BACK_NET), 2, 1, 160, "uniform:1:10", 58)
         assert rolled_back == [(3, 1, 3)]
-        assert (out.delivered, out.global_relabels, out.messages_sent) == (147, 3, 122)
-        assert digest == "a8fc8895486387b7748e675a9ed8eda6a9628469eae5fa398af55cd020ef8199"
+        assert (out.delivered, out.global_relabels, out.messages_sent) == (147, 3, 119)
+        assert digest == "2b9137229c605d5c12f7ca0fda7966dd6c1824989a11b8073390c338899f71bf"
 
     def test_step_reproduces_run_on_the_roll_back_payment(self):
         # step() returns mid-tick with activations still queued in the
@@ -687,6 +779,16 @@ class TestPinnedSchedule:
         g = loads_network(ROLL_BACK_NET)
         ran = trace_digest(g, 2, 1, 160, "uniform:1:10", 58)
         assert trace_digest(g, 2, 1, 160, "uniform:1:10", 58, stepped=True) == ran
+
+    def test_drain_payment_cut_away_from_r(self, drain_graph):
+        # 107 from 2 to 85: in-cap(85) is 95, below the value, but max-flow
+        # is 87, so a channel into r always has room and r's saturation
+        # rule never fires.  The schedule is the one the work rule alone
+        # gave, digest and all.
+        assert sum(drain_graph.cap[w][85] for w in drain_graph.cap[85]) == 95
+        out, digest = trace_digest(drain_graph, 2, 85, 107, "uniform:1:3", 0)
+        assert (out.delivered, out.global_relabels, out.messages_sent) == (87, 1, 1292)
+        assert digest == "c426f396c5af58b6b48fdc07e228054a7174a156442d76d43aa8cf128e41a570"
 
 
 class TestPinnedPipeline:
@@ -705,7 +807,7 @@ class TestPinnedPipeline:
             "--latency", "uniform:1:3", "--format", "json", "--out", str(out),
         ]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "0f2327fde59452258118ae023891db1b7c9ec4027077e417ca6abfa033d37484"
+        assert digest == "fe92c7da2cb4c548d51a2d9018773bd80d4aeffd033974f2916cf9f4fcbb1e8c"
 
 
 class TestGraphUntouched:
