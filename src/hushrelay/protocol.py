@@ -31,13 +31,16 @@ Key rules:
     wave.  Each later epoch starts with a breadth-first SinkDistance wave
     from r that lifts every node it reaches to its hop distance to r over
     residual channels (under jittered latency, the length of the path the
-    wave first arrived along).  Once that wave has died out, a CutOff wave
-    from s follows the flow: it lifts the nodes the SinkDistance wave did
-    not reach and that s sent flow to, directly or through lifted nodes, to
-    n+2 plus their distance from the feeder along that flow.  Until a later
-    SinkDistance wave reaches it, a lifted node pushes and relabels only
-    over the edges that brought it flow, so undeliverable excess drains
-    back the way it came without climbing one relabel at a time.
+    wave first arrived along).  Once every channel into r is saturated
+    with the value not yet delivered, no node can reach r, and r sends no
+    such wave.  Once that wave has died out, or at once when r sent none,
+    a CutOff wave from s follows the flow: it lifts the nodes the
+    SinkDistance wave did not reach and that s sent flow to, directly or
+    through lifted nodes, to n+2 plus their distance from the feeder along
+    that flow.  Until a later SinkDistance wave reaches it, a lifted node
+    pushes and relabels only over the edges that brought it flow, so
+    undeliverable excess drains back the way it came without climbing one
+    relabel at a time.
 
 Routing an amount val attaches a virtual source feeding s exactly val and a
 virtual sink absorbing at most val from r.  Both are passive: they accept

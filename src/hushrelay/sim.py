@@ -13,20 +13,21 @@ source's activation is queued at tick 0.
 
 Global relabeling follows the global-update frequency rule of Cherkassky
 and Goldberg's hi_pr: a relabel of node v counts RELABEL_WORK + deg(v) work.
-The count runs from the later of the start of the last epoch and the last
-relabel at which the virtual sink's absorbed amount had grown since the
-relabel before: a payment whose sink keeps gaining makes progress and pays
-for no wave.  Once the count reaches 6n + m, m the channel count (half
-hi_pr's 2(6n + m)), and only once both waves of the last epoch are gone,
-the sink starts the next epoch's SinkDistance wave.  The sink also sees one
-cut for itself: when val is above its inbound capacity and an Accept
-saturates the last channel into it, delivery is final, and the next epoch
-is due at that event, whatever the work count; no later sink gain defers
-it.  Such an epoch has no SinkDistance wave, as no node can reach the sink.
-The dispatcher counts the wave messages in flight, so it sees for free when
-a wave dies out (a deployment would pay one echo per wave message).  When
-an epoch's SinkDistance wave dies out, the source starts that epoch's
-CutOff wave.
+The next epoch is due once the count reaches 6n + m, m the channel count
+(half hi_pr's 2(6n + m)), from the later of the start of the last epoch and
+the last relabel at which the virtual sink's absorbed amount had grown since
+the relabel before: a payment whose sink keeps gaining makes progress and
+pays for no wave.  The sink also sees one cut for itself: when val is above
+its inbound capacity and an Accept saturates the last channel into it,
+delivery is final, and the next epoch is due at that event, whatever the
+work count; no later sink gain defers it.  One check, after every event,
+starts every epoch: no wave is in flight and the next epoch is due.  The
+sink then sends the epoch's SinkDistance wave, or none once delivery is
+final, as no node can reach it.  The dispatcher counts the wave messages in
+flight, so it sees for free when a wave dies out (a deployment would pay one
+echo per wave message).  When an epoch's SinkDistance wave dies out, or in
+its place when the sink sends none, the source starts that epoch's CutOff
+wave.
 
 The dispatcher is single-threaded; handlers only touch the addressed node,
 so a sharded dispatcher preserving per-node serial execution and per-edge
@@ -122,7 +123,8 @@ class RoutingOutcome:
     messages_sent: int
     relabels: int
     simulated_time: int
-    # epochs started after the first, each by a fresh SinkDistance wave
+    # epochs started after the first, each by a SinkDistance wave, or by a
+    # CutOff wave alone once delivery is final
     global_relabels: int
     # real nodes other than s and r that received any message: the states built
     # beyond the four endpoints, plus the nodes that only heard a LabelUpdate
@@ -203,45 +205,36 @@ class Simulator:
         sink = self.states[self.sink]
         return sink.excess + sink.edge_flow[self._rp] == self._in_cap < self.value
 
-    def _start_epoch(self, work: int) -> list[Outbound]:
+    def _start_epoch(self) -> list[Outbound]:
         """r starts the next epoch; returns the messages of its first wave.
 
-        `work` is the relabel work of the whole run so far; the epoch after
-        this one is due once _epoch_work more is done.  Once delivery is
-        final no node can reach r, so r sends no wave and the epoch goes
-        straight to its CutOff wave.  (Sent, the wave would reach a node
-        whose push to r is still unanswered: counting that push as rolled
-        back, the node would take the wave and pass it on.)
+        Once delivery is final no node can reach r, so r sends no wave and
+        the epoch goes straight to its CutOff wave.  (Sent, the wave would
+        reach a node whose push to r is still unanswered: counting that push
+        as rolled back, the node would take the wave and pass it on.)
         """
         self.epoch += 1
-        self._epoch_due = work + self._epoch_work
         sink = self.states[self.sink]
         sink.reached = self.epoch
         if self._delivery_final():
-            return self._wave_died(SinkDistance, work)
+            return self._cut_off_wave()
         wave = SinkDistance(self.sink, 0, self.epoch)
-        return [(w, wave) for w in sink.channel_neighbors] or self._wave_died(SinkDistance, work)
+        return [(w, wave) for w in sink.channel_neighbors]
 
-    def _wave_died(self, kind: type, work: int) -> list[Outbound]:
-        """The last message of the running wave, of message type `kind`, spawned none.
+    def _cut_off_wave(self) -> list[Outbound]:
+        """s starts the epoch's CutOff wave as if the feeder sent it; returns its messages.
 
-        Returns the next wave's messages: the epoch's CutOff wave after its
-        SinkDistance wave, or the next epoch's first wave once due.
+        s takes the level itself, and wakes if that lifted it with excess
+        left.
         """
-        if kind is SinkDistance:
-            # s starts the CutOff wave as if the feeder sent it
-            src = self.states[self.source]
-            label = src.label
-            out = protocol.on_cut_off(src, CutOff(self._sp, self.graph.n + 2, self.epoch))
-            if src.label != label and src.excess > 0 and not src.wake_scheduled:
-                src.wake_scheduled = True
-                # _dispatch keeps simulated_time at the current tick
-                self._slots[self.simulated_time % len(self._slots)].append((self.source, None))
-            if out:
-                return out
-        if work >= self._epoch_due:
-            return self._start_epoch(work)
-        return []
+        src = self.states[self.source]
+        label = src.label
+        out = protocol.on_cut_off(src, CutOff(self._sp, self.graph.n + 2, self.epoch))
+        if src.label != label and src.excess > 0 and not src.wake_scheduled:
+            src.wake_scheduled = True
+            # _dispatch keeps simulated_time at the current tick
+            self._slots[self.simulated_time % len(self._slots)].append((self.source, None))
+        return out
 
     # -- dispatch --------------------------------------------------------
 
@@ -257,7 +250,10 @@ class Simulator:
         When it is empty, the next non-empty slot within the ring is the
         next tick with an event; when every slot is empty, nothing is left
         to run.  Time advances only there, and is recorded at once so that
-        _wave_died wakes the source in the current slot.
+        _cut_off_wave wakes the source in the current slot.  The epoch
+        trigger runs after each event's handler, which only moves its
+        inputs; a relabeled node's wake is queued before it, a message
+        receiver's after it.
         """
         slots = self._slots
         size = len(slots)
@@ -282,6 +278,7 @@ class Simulator:
         waves = self._waves
         relabels = self.relabels
         work = self._work
+        due = self._epoch_due
         sink = states[self.sink]
         absorber = states[self._rp]
         absorbed = self._absorbed
@@ -319,12 +316,7 @@ class Simulator:
                     if absorber.excess > absorbed:
                         # r gained since the last relabel: the count restarts here
                         absorbed = absorber.excess
-                        self._epoch_due = work + self._epoch_work
-                    elif not waves and work >= self._epoch_due:
-                        # the new epoch's wave goes out before this activation's messages
-                        wave = self._start_epoch(work)
-                        waves = len(wave)
-                        out = [*wave, *out]
+                        due = work + self._epoch_work
             else:
                 delivered += 1
                 if trace is not None:
@@ -345,8 +337,8 @@ class Simulator:
                         else:
                             out = on_cut_off(st, msg)
                         waves += len(out) - 1
-                        if not waves:
-                            out = self._wave_died(kind, work)
+                        if not waves and kind is SinkDistance:
+                            out = self._cut_off_wave()
                             waves = len(out)
                     elif kind is PushRequest:
                         out = on_push_request(st, msg)
@@ -355,17 +347,19 @@ class Simulator:
                             # push reaches r after it): the next epoch is due
                             # now, and no later sink gain defers it
                             absorbed = self._in_cap
-                            self._epoch_due = work
-                            if not waves:
-                                wave = self._start_epoch(work)
-                                waves = len(wave)
-                                out = [*wave, *out]
+                            due = work
                     else:
                         on_reply(st, msg)
                         out = ()
-                if st.excess > 0 and not st.passive and not st.wake_scheduled:
-                    st.wake_scheduled = True
-                    slot.append((to, None))
+            if work >= due and not waves:
+                # the new epoch's first wave goes out before this event's messages
+                due = work + self._epoch_work
+                wave = self._start_epoch()
+                waves = len(wave)
+                out = [*wave, *out]
+            if msg is not None and st.excess > 0 and not st.passive and not st.wake_scheduled:
+                st.wake_scheduled = True
+                slot.append((to, None))
             sent += len(out)  # each (dest, message) pair is an event entry as it is
             if const_delay is not None:
                 slots[(now + const_delay) % size].extend(out)
@@ -378,6 +372,7 @@ class Simulator:
         self._waves = waves
         self.relabels = relabels
         self._work = work
+        self._epoch_due = due
         self._absorbed = absorbed
         self.events_dispatched += done
         self.messages_sent = sent

@@ -15,14 +15,15 @@ every event.
 An instance is wrong when run() delivers anything but min(value, max-flow)
 by `maxflow_augmenting` (and by scipy's maximum_flow, when scipy imports),
 returns anything but the rest, or when a run driven by step() gives another
-trace or outcome.  A delivery is also wrong when `decompose`'s paths do not
-sum to it, or when `reconstruct` of the flow report, sealed with a
-generator seeded by the instance's sim_seed, does not give back the flow;
-neither check feeds the digest.  It is an error when routing, decomposing
-or the report raises.  The output counts instances, wrong ones, errors and
-runs with a later epoch, totals the messages of the instances whose value
-is at most max-flow and, apart, of those whose value exceeds it, and gives
-one sha256 over every instance's trace and outcome.
+trace or outcome.  It is also wrong when a step breaks the epoch trigger's
+contract (`stepped_contract`), when `decompose`'s paths do not sum to the
+delivery, or when `reconstruct` of the flow report, sealed with a generator
+seeded by the instance's sim_seed, does not give back the flow; none of
+these three checks feeds the digest.  It is an error when routing,
+decomposing or the report raises.  The output counts instances, wrong ones,
+errors and runs with a later epoch, totals the messages of the instances
+whose value is at most max-flow and, apart, of those whose value exceeds
+it, and gives one sha256 over every instance's trace and outcome.
 """
 
 from __future__ import annotations
@@ -87,15 +88,43 @@ def instance(seed: int, index: int) -> Instance:
     return Instance(index, g, s, r, value, max_flow, rng.choice(LATENCIES), rng.getrandbits(32))
 
 
+def stepped_contract(sim: Simulator, trace: io.StringIO) -> list[str]:
+    """Step sim to the end; how its steps broke the epoch trigger's contract.
+
+    After every step, a wave is in flight or the relabel work is below the
+    next epoch's due point; and a step that starts an epoch relabeled,
+    delivered a wave message, or delivered the PushRequest that made
+    delivery final.  `trace` is sim's trace, read one step's lines at a time.
+    """
+    broken = []
+    events = 0
+    while True:
+        epoch, relabels, final, at = sim.epoch, sim.relabels, sim._delivery_final(), trace.tell()
+        if not step(sim):
+            return broken
+        events += 1
+        if not (sim._waves or sim._work < sim._epoch_due):
+            broken.append(f"event {events}: no wave in flight with the next epoch due")
+        if sim.epoch != epoch and sim.relabels == relabels:
+            trace.seek(at)
+            line = trace.read().split()
+            kind = line[1] if line else "an activation"
+            made_final = kind == "push_request" and not final and sim._delivery_final()
+            if kind not in ("sink_distance", "cut_off") and not made_final:
+                broken.append(f"event {events}: epoch {sim.epoch} started by {kind}")
+
+
 def route(inst: Instance, stepped: bool):
-    """run()'s outcome and trace text; with `stepped`, driven by step() to the end first."""
+    """run()'s outcome and trace text, and how the steps broke the epoch trigger's contract.
+
+    With `stepped`, the run is driven by step() to the end first.
+    """
     cfg = SimConfig(seed=inst.sim_seed, latency=LatencyModel.parse(inst.latency))
     buf = io.StringIO()
     sim = Simulator(inst.graph, inst.s, inst.r, inst.value, cfg, trace=buf)
     with invariants_checked(inst.graph):
-        while stepped and step(sim):
-            pass
-        return sim.run(), buf.getvalue()
+        broken = stepped_contract(sim, buf) if stepped else []
+        return sim.run(), buf.getvalue(), broken
 
 
 def flow_pipeline(inst: Instance, out) -> list[str]:
@@ -137,9 +166,9 @@ def run_corpus(seed: int, count: int) -> Tally:
         tally.instances += 1
         what = f"instance {index}: n={inst.graph.n} {inst.s}->{inst.r} value {inst.value} {inst.latency}"
         try:
-            out, trace = route(inst, stepped=False)
-            stepped_out, stepped_trace = route(inst, stepped=True)
-            problems = flow_pipeline(inst, out)
+            out, trace, _ = route(inst, stepped=False)
+            stepped_out, stepped_trace, broken = route(inst, stepped=True)
+            problems = flow_pipeline(inst, out) + broken[:3]
         except Exception as exc:  # every failure is counted, and the corpus goes on
             tally.errors += 1
             tally.failures.append(f"{what}: {type(exc).__name__}: {exc}")

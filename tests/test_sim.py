@@ -329,9 +329,9 @@ def stalled_graph() -> ChannelGraph:
 def stepped_relabels(sim: Simulator, monkeypatch):
     """Step sim to the end: each relabel's work, r's absorbed amount just after it, and each later epoch's start.
 
-    An epoch's start is the count of relabels done when its wave went out,
-    and whether that step relabeled (else the last wave of the epoch before
-    died there).
+    An epoch's start is the count of relabels done when it started, and
+    whether that step relabeled (else the last wave of the epoch before
+    died there, or the PushRequest that made delivery final arrived).
     """
     costs, absorbed, starts = [], [], []
     handler = protocol.relabel
@@ -790,6 +790,24 @@ class TestPinnedSchedule:
         assert (out.delivered, out.global_relabels, out.messages_sent) == (87, 1, 1292)
         assert digest == "c426f396c5af58b6b48fdc07e228054a7174a156442d76d43aa8cf128e41a570"
 
+    def test_wake_order_at_a_waveless_epoch(self):
+        # 53 from 1 to 12, max-flow 13 = in-cap(12): the PushRequest that
+        # saturates r starts epoch 2 as a cut-off wave alone, in which s
+        # takes its level and wakes.  That wake is queued before r's, which
+        # the same PushRequest left with excess; the other order sends 123
+        # messages over 39 ticks instead
+        g = loads_network(WAKE_ORDER_NET)
+        sim = Simulator(g, 1, 12, 53, SimConfig(seed=1275489900, latency=LatencyModel.parse("uniform:1:3")))
+        while sim.epoch == 1:
+            assert step(sim)
+        assert sim._delivery_final()
+        assert [e for e in sim._slots[sim.simulated_time % len(sim._slots)] if e[1] is None] == [
+            (1, None), (12, None),
+        ]
+        out, digest = trace_digest(g, 1, 12, 53, "uniform:1:3", 1275489900)
+        assert (out.delivered, out.global_relabels, out.messages_sent, out.simulated_time) == (13, 2, 131, 44)
+        assert digest == "ccdfbd8e8c7b300dd7f42f021054cae14e6ce1221ad4a3ba3235c4a7e396f304"
+
 
 class TestPinnedPipeline:
     """The whole bench pipeline's output, pinned by the sha256 of its JSON report.
@@ -888,4 +906,33 @@ chan 28 30 0 0
 chan 28 31 6 0
 chan 29 30 17 13
 chan 29 34 0 0
+"""
+
+# 13 nodes, instance 146 of the differential corpus's seed 0; max-flow
+# 1 -> 12 is 13, the capacity of the channels into 12
+WAKE_ORDER_NET = """\
+pcn 13
+chan 0 1 1 0
+chan 0 2 0 7
+chan 0 4 6 0
+chan 0 5 2 4
+chan 0 7 7 0
+chan 0 8 2 3
+chan 0 9 4 8
+chan 0 10 3 6
+chan 1 2 9 10
+chan 1 3 3 1
+chan 1 5 9 2
+chan 1 9 4 8
+chan 1 12 7 8
+chan 2 3 4 7
+chan 2 4 8 7
+chan 2 10 6 10
+chan 2 12 6 1
+chan 3 6 3 6
+chan 3 7 6 3
+chan 4 6 6 6
+chan 4 11 9 0
+chan 5 11 4 2
+chan 7 8 8 8
 """
